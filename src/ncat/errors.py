@@ -81,8 +81,9 @@ class UnknownAtom(NCatError):
 
 
 class FlowDataInconsistent(NCatError):
-    """A functor image violates the target category's cell constraints.
+    """Flow data that parsed cleanly cannot be read as cells.
 
-    Raised when flow data produces an index tuple that w_make rejects;
-    the underlying ConstraintViolation is chained as __cause__.
+    Raised when flow data produces an index tuple that w_make rejects
+    (the underlying ConstraintViolation is chained as __cause__), and
+    when a moduli space does not sit over a space one level down.
     """

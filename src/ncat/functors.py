@@ -21,7 +21,6 @@ from .xcat import (
     Pt,
     XCategory,
     XCell,
-    x_composable_pairs,
     x_render,
 )
 
@@ -165,7 +164,7 @@ def check_functor_laws(
     def comps():
         for l in range(1, fd.max_level + 1):
             for p in range(l):
-                for a, c in x_composable_pairs(fd, l, p, include_composites=True):
+                for a, c in cat.pairs(l, p):
                     yield (
                         f"{name}(C o_{p} A) for A={x_render(a)}, C={x_render(c)}",
                         lambda p=p, a=a, c=c: (

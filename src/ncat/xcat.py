@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidArguments, NoSource, NotComposable
+from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
 __all__ = [
@@ -211,31 +211,28 @@ def x_identity(cell: XCell) -> XCell:
     return XCell(Pt(cell.head), ((cell.head, cell.head),) + cell.spine)
 
 
-def _check_x_composable(p: int, a: XCell, c: XCell) -> None:
+def _chain_key(cell: XCell, p: int, side: int) -> tuple:
+    """(head, spine) of the depth-p s-chain (side 0) or t-chain (side 1):
+    x_source or x_target applied level - p times."""
+    k = cell.level - p
+    return cell.spine[k - 1][side], cell.spine[k:]
+
+
+def x_composable(p: int, a: XCell, c: XCell) -> bool:
     l = a.level
     if c.level != l:
         raise InvalidArguments(f"levels differ: {l} vs {c.level}")
     if not 0 <= p < l:
         raise InvalidArguments(f"depth p={p} out of range for level {l}")
-    sa, sc = a, c
-    for _ in range(l - p):
-        sa, sc = x_target(sa), x_source(sc)
-    if sa != sc:
-        raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
-
-
-def x_composable(p: int, a: XCell, c: XCell) -> bool:
-    try:
-        _check_x_composable(p, a, c)
-    except NotComposable:
-        return False
-    return True
+    return _chain_key(a, p, 1) == _chain_key(c, p, 0)
 
 
 def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
     """The glued cell ``c o_p a``: labels above depth p pair up and
     normalize, the pair at p splices, everything below is shared."""
-    _check_x_composable(p, a, c)
+    if not x_composable(p, a, c):
+        sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
+        raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
     l = a.level
     top = l - 1 - p
 
@@ -260,7 +257,13 @@ def _spine_of(fd: FlowData, space) -> tuple:
     pair = (Atom(space.source), Atom(space.target))
     if space.level == 1:
         return (pair,)
-    return (pair,) + _spine_of(fd, fd.home_of(space.source))
+    home = fd.home_of(space.source)
+    if home is None or home.level != space.level - 1:
+        raise FlowDataInconsistent(
+            f"space ({space.source},{space.target}) at level {space.level}: "
+            f"its source {space.source!r} is not a point of a level-{space.level - 1} space"
+        )
+    return (pair,) + _spine_of(fd, home)
 
 
 def _singleton_home(fd: FlowData, cell: XCell) -> bool:
@@ -305,33 +308,52 @@ def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
 
 
 def _close_under_composition(fd: FlowData, level: int, cells: list) -> list:
-    pool = set(cells)
-    frontier = list(cells)
+    """Semi-naive fixpoint: each round composes only the pairs with at
+    least one cell that the previous round added (the frontier)."""
+    pool = list(cells)
+    seen = set(pool)
+    frontier = pool
     while frontier:
+        new = set(frontier)
+        old = [x for x in pool if x not in new]
         fresh = []
         for p in range(level):
-            for a in sorted(pool, key=XCell.key):
-                for c in sorted(pool, key=XCell.key):
-                    if x_composable(p, a, c):
-                        out = x_compose(fd, p, a, c)
-                        if out not in pool:
-                            pool.add(out)
-                            fresh.append(out)
+            for a, c in _pairs_at(p, frontier, pool) + _pairs_at(p, old, frontier):
+                out = x_compose(fd, p, a, c)
+                if out not in seen:
+                    seen.add(out)
+                    fresh.append(out)
+        pool = pool + fresh
         frontier = fresh
     return sorted(pool, key=XCell.key)
+
+
+def _pairs_at(p: int, inner: list, outer: list) -> list:
+    """Pairs (a, c), a from inner and c from outer, composable at depth p;
+    a in input order, then c in input order.  The outer cells are
+    bucketed by their depth-p s-chain and each inner cell looks up its
+    depth-p t-chain."""
+    if inner and not 0 <= p < inner[0].level:
+        raise InvalidArguments(f"depth p={p} out of range for level {inner[0].level}")
+    by_source = {}
+    for c in outer:
+        by_source.setdefault(_chain_key(c, p, 0), []).append(c)
+    return [(a, c) for a in inner for c in by_source.get(_chain_key(a, p, 1), ())]
 
 
 def x_composable_pairs(fd: FlowData, level: int, p: int, include_composites: bool = False) -> list:
     """Ordered pairs (inner, outer) among the level's cells, ready for
     x_compose at depth p."""
     cells = x_cells(fd, level, include_composites)
-    return [(a, c) for a in cells for c in cells if x_composable(p, a, c)]
+    return _pairs_at(p, cells, cells)
 
 
 class XCategory:
     """X behind the generic category interface.  With
     include_composites=True, cells() also carries every composite, which
-    is what the axiom engine needs to test laws on glued cells."""
+    is what the axiom engine needs to test laws on glued cells.  Each
+    level is enumerated (and closed) once per instance; cells() hands
+    out copies so callers cannot change the cache."""
 
     name = "x"
 
@@ -339,9 +361,17 @@ class XCategory:
         self.fd = fd
         self.max_level = fd.max_level
         self.include_composites = include_composites
+        self._cells = {}
 
     def cells(self, level: int) -> list:
-        return x_cells(self.fd, level, self.include_composites)
+        if level not in self._cells:
+            self._cells[level] = x_cells(self.fd, level, self.include_composites)
+        return list(self._cells[level])
+
+    def pairs(self, level: int, p: int) -> list:
+        """x_composable_pairs over this instance's cells."""
+        cells = self.cells(level)
+        return _pairs_at(p, cells, cells)
 
     def level_of(self, cell) -> int:
         return cell.level

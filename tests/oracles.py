@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the package's own construction code
 paths: enumeration is a filter over the raw integer product, composability
-is checked by walking sources/targets, so agreement with the library is
-evidence rather than tautology.
+is checked by walking sources/targets, and the X closure is the plain
+all-pairs fixpoint over single compositions, so agreement with the
+library is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from ncat.xcat import XCell, x_cells, x_compose, x_source, x_target
 
 
 def ok_wtuple(head, pairs) -> bool:
@@ -95,3 +98,55 @@ def random_composable_wpair(rng, level: int, p: int, bound: int):
     i_top, j_top = pairs[0]
     head_c = 0 if i_top == j_top else rng.randint(0, min(i_top - j_top - 1, bound))
     return (head_a, spine_a), (head_c, tuple(pairs))
+
+
+def chain_document(k: int, m: int) -> dict:
+    """chain(k, m): base points b0..bk with index(b_i) = k - i, each
+    adjacent pair joined by a zero-dimensional level-1 space with m
+    one-point components, max_level = 2."""
+    return {
+        "name": f"chain-{k}-{m}",
+        "max_level": 2,
+        "base_points": [{"id": f"b{i}", "index": k - i} for i in range(k + 1)],
+        "moduli": [
+            {
+                "level": 1,
+                "source": f"b{i}",
+                "target": f"b{i + 1}",
+                "dim": 0,
+                "components": [f"c{j}" for j in range(m)],
+                "critical_points": [
+                    {"id": f"p{i}_{j}", "index": 0, "component": f"c{j}"}
+                    for j in range(m)
+                ],
+            }
+            for i in range(k)
+        ],
+    }
+
+
+def chain_closure_counts(k: int, m: int) -> list:
+    """Closed cells per level of chain(k, m), from the shape alone: a
+    level-1 cell is a broken line from b_i to b_{i+L} with m choices per
+    piece, and level 2 holds exactly their diagonals."""
+    level1 = sum((k - length + 1) * m**length for length in range(1, k + 1))
+    return [k + 1, level1, level1]
+
+
+def naive_closure(fd, level: int) -> list:
+    """The level's cells closed under composition by the plain fixpoint:
+    every round composes every composable pair of the whole pool, until
+    a round adds nothing.  Sorted by XCell.key."""
+    pool = set(x_cells(fd, level))
+    while True:
+        cells = sorted(pool, key=XCell.key)
+        new = {
+            x_compose(fd, p, a, c)
+            for p in range(level)
+            for a, c in brute_composable_pairs(
+                cells, p, x_source, x_target, lambda x: x.level
+            )
+        }
+        if new <= pool:
+            return cells
+        pool |= new

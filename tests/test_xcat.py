@@ -6,18 +6,22 @@ data can actually produce (composition closure plus unit towers); the
 result must always equal normalize()'s.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncat.errors import InvalidArguments, NoSource, NotComposable
+from ncat.errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
+from ncat.flowdata import parse_flow_data, validate_flow_data
+from ncat.functors import check_functor_laws
 from ncat.torus import torus_flow_data
 from ncat.xcat import (
     Atom,
     Pt,
     Seq,
+    XCategory,
     XCell,
     label_key,
     normalize,
@@ -32,7 +36,15 @@ from ncat.xcat import (
     x_target,
 )
 
+from oracles import chain_closure_counts, chain_document, naive_closure
+
 FD = torus_flow_data()
+
+
+def chain_fd(k, m):
+    fd = parse_flow_data(json.dumps(chain_document(k, m)))
+    assert validate_flow_data(fd).passed
+    return fd
 
 
 def atom(i):
@@ -352,3 +364,55 @@ def test_x0_pairs_at_level_two_match_same_letter_diagonals_and_more():
             assert (a, c) in pairs
     # the matching is by boundary alone, so mixed-letter pairs appear too
     assert (x2(Pt(Atom("wx_d"))), x2(Pt(Atom("xz_s")))) in pairs
+
+
+def test_composable_pairs_with_composites_match_brute_force():
+    for l in range(1, FD.max_level + 1):
+        cells = x_cells(FD, l, include_composites=True)
+        for p in range(l):
+            brute = [(a, c) for a in cells for c in cells if x_composable(p, a, c)]
+            assert x_composable_pairs(FD, l, p, include_composites=True) == brute
+
+
+@pytest.mark.parametrize("fd", [FD, chain_fd(3, 2)], ids=["torus", "chain-3-2"])
+def test_closure_matches_naive_fixpoint(fd):
+    for l in range(fd.max_level + 1):
+        assert x_cells(fd, l, include_composites=True) == naive_closure(fd, l)
+
+
+@pytest.mark.parametrize("k,m", [(4, 2), (5, 2), (5, 3)])
+def test_chain_closure_counts_follow_closed_form(k, m):
+    fd = chain_fd(k, m)
+    counts = [len(x_cells(fd, l, include_composites=True)) for l in range(3)]
+    assert counts == chain_closure_counts(k, m)
+
+
+def test_category_closes_once_and_hands_out_copies():
+    fd = chain_fd(4, 2)
+    cat = XCategory(fd, include_composites=True)
+    first = cat.cells(1)
+    assert cat.cells(1) == first == x_cells(fd, 1, include_composites=True)
+    first.clear()
+    assert len(cat.cells(1)) == chain_closure_counts(4, 2)[1]
+    for l in range(1, 3):
+        for p in range(l):
+            assert cat.pairs(l, p) == x_composable_pairs(fd, l, p, include_composites=True)
+
+
+def test_level_two_space_over_a_base_point_is_inconsistent():
+    doc = {
+        "name": "over-a-base-point",
+        "max_level": 2,
+        "base_points": [{"id": "a", "index": 1}, {"id": "b", "index": 0}],
+        "moduli": [
+            {"level": 1, "source": "a", "target": "b", "dim": 0, "components": ["c"],
+             "critical_points": [{"id": "ab", "index": 0, "component": "c"}]},
+            {"level": 2, "source": "a", "target": "ab", "dim": 0, "components": ["c"],
+             "critical_points": [{"id": "q", "index": 0, "component": "c"}]},
+        ],
+    }
+    fd = parse_flow_data(json.dumps(doc))
+    with pytest.raises(FlowDataInconsistent, match=r"\(a,ab\)"):
+        x_cells(fd, 2)
+    with pytest.raises(FlowDataInconsistent, match=r"\(a,ab\)"):
+        check_functor_laws(fd, "g")
