@@ -4,7 +4,11 @@ The engine works against a small structural interface (cells / level_of /
 source / target / identity / compose / normalize / render) so the same
 code exercises every category in the package.  It is a reporter: law
 failures are collected as witnesses, never raised, so one broken axiom
-cannot hide another.
+cannot hide another.  An ``NCatError`` raised while evaluating a side of
+an equation is a witness too.  Every law, the functor laws of
+``check_functor_laws`` included, runs through one tally (``_Law``), which
+renders cells only when it records a witness; a passing run renders
+nothing.
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -23,7 +27,7 @@ categories normalize is the identity and the laws hold literally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidArguments, NCatError
 
@@ -115,6 +119,50 @@ def composable(cat, p: int, a, c) -> bool:
     return _chain(cat, a, cat.target, k) == _chain(cat, c, cat.source, k)
 
 
+class _Law:
+    """The tally of one law: instances checked and witnesses found.
+
+    A witness context ``ctx`` is a thunk, called only when a witness is
+    recorded, so a passing run renders nothing.
+    """
+
+    def __init__(self, axiom: str, cat):
+        self.axiom = axiom
+        self.cat = cat
+        self.checked = 0
+        self.failures = []
+
+    def fail(self, detail: str) -> None:
+        self.failures.append(AxiomFailure(self.axiom, detail))
+
+    def eval(self, ctx, fn):
+        """fn(), or None once a raised NCatError is recorded as a witness."""
+        try:
+            return fn()
+        except NCatError as e:
+            self.fail(f"{ctx()}: raised {e}")
+            return None
+
+    def same(self, x, y) -> bool:
+        return self.cat.normalize(x) == self.cat.normalize(y)
+
+    def expect(self, ctx, lhs, rhs, shape: str = "{} != {}") -> None:
+        """Witness lhs != rhs, the rendered sides filling ``shape``.  A side
+        that is None already raised and was recorded by eval."""
+        if lhs is None or rhs is None or self.same(lhs, rhs):
+            return
+        render = self.cat.render
+        self.fail(f"{ctx()}: " + shape.format(render(lhs), render(rhs)))
+
+    def check(self, ctx, sides) -> None:
+        """One instance whose two sides sides() computes under one guard."""
+        self.checked += 1
+        self.eval(ctx, lambda: self.expect(ctx, *sides()))
+
+    def entry(self) -> AxiomEntry:
+        return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
+
+
 class _Run:
     """One checking run: sampled cells per level plus memoized pair sets."""
 
@@ -152,34 +200,25 @@ class _Run:
             self._pairs[key] = out
         return self._pairs[key]
 
-    def eq(self, x, y) -> bool:
-        return self.cat.normalize(x) == self.cat.normalize(y)
-
 
 def check_globularity(cat, levels=None, sample=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
     if levels is None:
         levels = range(cat.max_level + 1)
-    ss = []
-    ts = []
-    checked = 0
+    ss, ts = _Law("globular-ss", cat), _Law("globular-ts", cat)
     for l in levels:
         if l < 2:
             continue
         cells = sample[l] if sample is not None else cat.cells(l)
         for x in cells:
-            checked += 1
+            ss.checked += 1
+            ts.checked += 1
             s, t = cat.source(x), cat.target(x)
-            if cat.normalize(cat.source(s)) != cat.normalize(cat.source(t)):
-                ss.append(AxiomFailure("globular-ss", f"level {l}: x={cat.render(x)}"))
-            if cat.normalize(cat.target(s)) != cat.normalize(cat.target(t)):
-                ts.append(AxiomFailure("globular-ts", f"level {l}: x={cat.render(x)}"))
-    return AxiomReport(
-        (
-            AxiomEntry("globular-ss", checked, tuple(ss)),
-            AxiomEntry("globular-ts", checked, tuple(ts)),
-        )
-    )
+            if not ss.same(cat.source(s), cat.source(t)):
+                ss.fail(f"level {l}: x={cat.render(x)}")
+            if not ts.same(cat.target(s), cat.target(t)):
+                ts.fail(f"level {l}: x={cat.render(x)}")
+    return AxiomReport((ss.entry(), ts.entry()))
 
 
 def check_axioms(cat, sample=None, *, seed=0, samples=1000, levels=None) -> AxiomReport:
@@ -202,68 +241,44 @@ def check_axioms(cat, sample=None, *, seed=0, samples=1000, levels=None) -> Axio
     return AxiomReport(tuple(entries))
 
 
-def _guarded(run, fails, axiom, fn, context):
-    """Evaluate fn(); a raised NCatError is itself an axiom failure."""
-    try:
-        return fn()
-    except NCatError as e:
-        fails.append(AxiomFailure(axiom, f"{context}: raised {e}"))
-        return None
-
-
 def _comp_st(run) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("comp-st", cat)
     for l in run.levels:
         for p in range(l):
             for a, c in run.pairs(l, p):
-                ctx = f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
-                ac = _guarded(run, fails, "comp-st", lambda: cat.compose(p, a, c), ctx)
+                ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
+                ac = law.eval(ctx, lambda: cat.compose(p, a, c))
                 if ac is None:
                     continue
-                checked += 1
+                law.checked += 1
                 if p == l - 1:
                     want_s, want_t = cat.source(a), cat.target(c)
                 else:
                     want_s = cat.compose(p, cat.source(a), cat.source(c))
                     want_t = cat.compose(p, cat.target(a), cat.target(c))
-                if not run.eq(cat.source(ac), want_s):
-                    fails.append(
-                        AxiomFailure(
-                            "comp-st",
-                            f"{ctx}: s(CoA)={cat.render(cat.source(ac))} != {cat.render(want_s)}",
-                        )
-                    )
-                if not run.eq(cat.target(ac), want_t):
-                    fails.append(
-                        AxiomFailure(
-                            "comp-st",
-                            f"{ctx}: t(CoA)={cat.render(cat.target(ac))} != {cat.render(want_t)}",
-                        )
-                    )
-    return AxiomEntry("comp-st", checked, tuple(fails))
+                law.expect(ctx, cat.source(ac), want_s, "s(CoA)={} != {}")
+                law.expect(ctx, cat.target(ac), want_t, "t(CoA)={} != {}")
+    return law.entry()
 
 
 def _id_st(run, cat_n) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("id-st", cat)
     for l in run.levels:
         if l >= cat_n:
             continue
         for a in run.cells[l]:
-            checked += 1
+            law.checked += 1
             one = cat.identity(a)
-            if not (run.eq(cat.source(one), a) and run.eq(cat.target(one), a)):
-                fails.append(AxiomFailure("id-st", f"level {l}: A={cat.render(a)}"))
-    return AxiomEntry("id-st", checked, tuple(fails))
+            if not (law.same(cat.source(one), a) and law.same(cat.target(one), a)):
+                law.fail(f"level {l}: A={cat.render(a)}")
+    return law.entry()
 
 
 def _assoc(run) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("assoc", cat)
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
@@ -276,26 +291,16 @@ def _assoc(run) -> AxiomEntry:
                     if count >= run.cap:
                         break
                     count += 1
-                    checked += 1
-                    ctx = f"l={l} p={p} A={cat.render(a)} C={cat.render(c)} E={cat.render(e)}"
-                    lhs = _guarded(
-                        run, fails, "assoc",
-                        lambda: cat.compose(p, cat.compose(p, a, c), e), ctx,
+                    law.checked += 1
+                    ctx = lambda: (
+                        f"l={l} p={p} A={cat.render(a)} C={cat.render(c)} E={cat.render(e)}"
                     )
-                    rhs = _guarded(
-                        run, fails, "assoc",
-                        lambda: cat.compose(p, a, cat.compose(p, c, e)), ctx,
+                    law.expect(
+                        ctx,
+                        law.eval(ctx, lambda: cat.compose(p, cat.compose(p, a, c), e)),
+                        law.eval(ctx, lambda: cat.compose(p, a, cat.compose(p, c, e))),
                     )
-                    if lhs is None or rhs is None:
-                        continue
-                    if not run.eq(lhs, rhs):
-                        fails.append(
-                            AxiomFailure(
-                                "assoc",
-                                f"{ctx}: {cat.render(lhs)} != {cat.render(rhs)}",
-                            )
-                        )
-    return AxiomEntry("assoc", checked, tuple(fails))
+    return law.entry()
 
 
 def _tower(cat, cell, k):
@@ -306,35 +311,27 @@ def _tower(cat, cell, k):
 
 def _unit(run) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("unit", cat)
     for l in run.levels:
         if l == 0:
             continue
         for a in run.cells[l]:
             for p in range(l):
                 k = l - p
-                checked += 1
-                ctx = f"l={l} p={p} A={cat.render(a)}"
+                law.checked += 1
+                ctx = lambda: f"l={l} p={p} A={cat.render(a)}"
                 right = _tower(cat, _chain(cat, a, cat.target, k), k)
                 left = _tower(cat, _chain(cat, a, cat.source, k), k)
-                lhs = _guarded(run, fails, "unit", lambda: cat.compose(p, a, right), ctx)
-                rhs = _guarded(run, fails, "unit", lambda: cat.compose(p, left, a), ctx)
-                if lhs is not None and not run.eq(lhs, a):
-                    fails.append(
-                        AxiomFailure("unit", f"{ctx}: 1-tower o_p A = {cat.render(lhs)} != A")
-                    )
-                if rhs is not None and not run.eq(rhs, a):
-                    fails.append(
-                        AxiomFailure("unit", f"{ctx}: A o_p 1-tower = {cat.render(rhs)} != A")
-                    )
-    return AxiomEntry("unit", checked, tuple(fails))
+                lhs = law.eval(ctx, lambda: cat.compose(p, a, right))
+                rhs = law.eval(ctx, lambda: cat.compose(p, left, a))
+                law.expect(ctx, lhs, a, "1-tower o_p A = {} != A")
+                law.expect(ctx, rhs, a, "A o_p 1-tower = {} != A")
+    return law.entry()
 
 
 def _binary_interchange(run) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("binary-interchange", cat)
     for l in run.levels:
         for p in range(1, l):
             pairs_p = run.pairs(l, p)
@@ -348,59 +345,38 @@ def _binary_interchange(run) -> AxiomEntry:
                         if count >= run.cap:
                             break
                         count += 1
-                        checked += 1
-                        ctx = (
+                        law.checked += 1
+                        ctx = lambda: (
                             f"l={l} p={p} q={q} A={cat.render(a)} C={cat.render(c)} "
                             f"E={cat.render(e)} H={cat.render(h)}"
                         )
-                        lhs = _guarded(
-                            run, fails, "binary-interchange",
-                            lambda: cat.compose(q, cat.compose(p, a, c), cat.compose(p, e, h)),
+                        law.expect(
                             ctx,
+                            law.eval(
+                                ctx,
+                                lambda: cat.compose(q, cat.compose(p, a, c), cat.compose(p, e, h)),
+                            ),
+                            law.eval(
+                                ctx,
+                                lambda: cat.compose(p, cat.compose(q, a, e), cat.compose(q, c, h)),
+                            ),
                         )
-                        rhs = _guarded(
-                            run, fails, "binary-interchange",
-                            lambda: cat.compose(p, cat.compose(q, a, e), cat.compose(q, c, h)),
-                            ctx,
-                        )
-                        if lhs is None or rhs is None:
-                            continue
-                        if not run.eq(lhs, rhs):
-                            fails.append(
-                                AxiomFailure(
-                                    "binary-interchange",
-                                    f"{ctx}: {cat.render(lhs)} != {cat.render(rhs)}",
-                                )
-                            )
-    return AxiomEntry("binary-interchange", checked, tuple(fails))
+    return law.entry()
 
 
 def _nullary_interchange(run, cat_n) -> AxiomEntry:
     cat = run.cat
-    fails = []
-    checked = 0
+    law = _Law("nullary-interchange", cat)
     for l in run.levels:
         if l >= cat_n:
             continue
         for p in range(l):
             for a, c in run.pairs(l, p):
-                checked += 1
-                ctx = f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
-                lhs = _guarded(
-                    run, fails, "nullary-interchange",
-                    lambda: cat.compose(p, cat.identity(a), cat.identity(c)), ctx,
+                law.checked += 1
+                ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
+                law.expect(
+                    ctx,
+                    law.eval(ctx, lambda: cat.compose(p, cat.identity(a), cat.identity(c))),
+                    law.eval(ctx, lambda: cat.identity(cat.compose(p, a, c))),
                 )
-                rhs = _guarded(
-                    run, fails, "nullary-interchange",
-                    lambda: cat.identity(cat.compose(p, a, c)), ctx,
-                )
-                if lhs is None or rhs is None:
-                    continue
-                if not run.eq(lhs, rhs):
-                    fails.append(
-                        AxiomFailure(
-                            "nullary-interchange",
-                            f"{ctx}: {cat.render(lhs)} != {cat.render(rhs)}",
-                        )
-                    )
-    return AxiomEntry("nullary-interchange", checked, tuple(fails))
+    return law.entry()

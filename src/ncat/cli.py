@@ -84,14 +84,27 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
+def _load_valid(path: str, cfg: RunConfig, head: dict, doing: str | None = None):
+    """The document at ``path``, or None after printing the refusal of one
+    that fails validation.  With ``doing``, the refusal says what was not
+    done and lists the failed checks; without it, it is `validate`'s report
+    with the document's name added to ``head``."""
+    fd, report = _load(path)
+    if report.passed:
+        return fd
+    if doing is None:
+        head = {**head, "name": fd.name}
+        lines = _validation_lines(fd, report)
+    else:
+        lines = [f"flow data {fd.name} failed validation; not {doing}"]
+        lines += [f"  {c.check} {c.subject}: {c.detail}" for c in report.failures()]
+    _emit({**head, "report": report.to_dict()}, cfg, lines)
+    return None
+
+
 def cmd_build(args, cfg: RunConfig) -> int:
-    fd, report = _load(args.file)
-    if not report.passed:
-        _emit(
-            {"command": "build", "name": fd.name, "report": report.to_dict()},
-            cfg,
-            _validation_lines(fd, report),
-        )
+    fd = _load_valid(args.file, cfg, {"command": "build"})
+    if fd is None:
         return 1
     top = min(cfg.level, fd.max_level)
     levels = {l: x_cells(fd, l) for l in range(top + 1)}
@@ -114,29 +127,18 @@ def cmd_build(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _category(args, cfg: RunConfig):
-    if args.category == "w":
-        return WCategory(max_level=cfg.level, bound=ENUM_BOUND), "w", None
-    if args.category == "v":
-        return VCategory(max_level=cfg.level, bound=ENUM_BOUND), "v", None
-    if args.file is None:
-        raise _Usage("axioms --category x needs a flow-data file")
-    fd, report = _load(args.file)
-    if not report.passed:
-        return None, fd.name, report
-    return XCategory(fd, include_composites=True), fd.name, None
-
-
 def cmd_axioms(args, cfg: RunConfig) -> int:
-    cat, name, bad = _category(args, cfg)
-    if bad is not None:
-        _emit(
-            {"command": "axioms", "category": args.category, "report": bad.to_dict()},
-            cfg,
-            [f"flow data {name} failed validation; not checking axioms"]
-            + _validation_lines_short(bad),
-        )
-        return 1
+    if args.category == "x":
+        if args.file is None:
+            raise _Usage("axioms --category x needs a flow-data file")
+        head = {"command": "axioms", "category": "x"}
+        fd = _load_valid(args.file, cfg, head, "checking axioms")
+        if fd is None:
+            return 1
+        cat, name = XCategory(fd, include_composites=True), fd.name
+    else:
+        make = WCategory if args.category == "w" else VCategory
+        cat, name = make(max_level=cfg.level, bound=ENUM_BOUND), args.category
     levels = range(min(cfg.level, cat.max_level) + 1)
     report = check_globularity(cat, levels).merged(
         check_axioms(cat, seed=cfg.seed, samples=cfg.samples, levels=levels)
@@ -162,19 +164,10 @@ def cmd_axioms(args, cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _validation_lines_short(report):
-    return [f"  {c.check} {c.subject}: {c.detail}" for c in report.failures()]
-
-
 def cmd_functor(args, cfg: RunConfig) -> int:
-    fd, report = _load(args.file)
-    if not report.passed:
-        _emit(
-            {"command": "functor", "target": args.target, "report": report.to_dict()},
-            cfg,
-            [f"flow data {fd.name} failed validation; not applying the functor"]
-            + _validation_lines_short(report),
-        )
+    head = {"command": "functor", "target": args.target}
+    fd = _load_valid(args.file, cfg, head, "applying the functor")
+    if fd is None:
         return 1
     env = ind_env(fd)
     apply = functor_g if args.target == "g" else functor_f

@@ -10,7 +10,16 @@ from ncat.axioms import (
 )
 from ncat.errors import InvalidArguments
 from ncat.vcat import VCategory
-from ncat.wcat import WCategory, WCell, w_compose, w_enumerate, w_source, w_target
+from ncat.wcat import (
+    WCategory,
+    WCell,
+    w_compose,
+    w_enumerate,
+    w_identity,
+    w_render,
+    w_source,
+    w_target,
+)
 
 from oracles import brute_composable_pairs
 
@@ -109,3 +118,76 @@ def test_to_dict_shape():
     assert d["passed"] is True
     assert {e["axiom"] for e in d["entries"]} == set(AXIOM_IDS[2:])
     assert all(set(e) == {"axiom", "checked", "failures", "verdict"} for e in d["entries"])
+
+
+HEAVY_COUNTS = {
+    "globular-ss": (20, 0), "globular-ts": (20, 0), "comp-st": (101, 88), "id-st": (18, 0),
+    "assoc": (165, 250), "unit": (54, 108), "binary-interchange": (60, 120),
+    "nullary-interchange": (30, 30),
+}
+HEAVY_FIRST = {
+    "comp-st": "l=2 p=0 A=(0, [0 0 ; 0 0]) C=(0, [0 0 ; 0 0]): s(CoA)=(0, [0 ; 0]) != (1, [0 ; 0])",
+    "assoc": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0]) E=(0, [0 ; 0]): raised level 0: "
+    "entry above a degenerate pair (i_0=j_0=0) must be 0, got 1",
+    "unit": "l=1 p=0 A=(0, [0 ; 0]): 1-tower o_p A = (1, [0 ; 0]) != A",
+    "binary-interchange": "l=2 p=1 q=0 A=(0, [0 0 ; 0 0]) C=(0, [0 0 ; 0 0]) "
+    "E=(0, [0 0 ; 0 0]) H=(0, [0 0 ; 0 0]): raised level 1: "
+    "entry above a degenerate pair (i_1=j_1=0) must be 0, got 2",
+    "nullary-interchange": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0]): "
+    "(1, [0 0 ; 0 0]) != (0, [1 0 ; 1 0])",
+}
+LAZY_COUNTS = {
+    "globular-ss": (20, 0), "globular-ts": (20, 0), "comp-st": (101, 0), "id-st": (18, 4),
+    "assoc": (165, 0), "unit": (54, 15), "binary-interchange": (60, 0),
+    "nullary-interchange": (30, 0),
+}
+LAZY_FIRST = {
+    "id-st": "level 1: A=(1, [2 ; 0])",
+    "unit": "l=2 p=1 A=(0, [1 2 ; 0 0]): raised not composable at p=1: "
+    "j_p of inner is 0, i_p of outer is 1",
+}
+
+
+@pytest.mark.parametrize(
+    "cls, counts, first",
+    [(HeavyCompose, HEAVY_COUNTS, HEAVY_FIRST), (LazyIdentity, LAZY_COUNTS, LAZY_FIRST)],
+    ids=["heavy-compose", "lazy-identity"],
+)
+def test_witnesses_of_broken_categories(cls, counts, first):
+    cat = cls(max_level=2, bound=3)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=200))
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == counts
+    assert {e.axiom: e.failures[0].detail for e in report.entries if e.failures} == first
+
+
+class CountsRenders:
+    renders = 0
+
+    def render(self, cell):
+        self.renders += 1
+        return super().render(cell)
+
+
+class CountingW(CountsRenders, WCategory):
+    pass
+
+
+class CountingHeavy(CountsRenders, HeavyCompose):
+    pass
+
+
+def test_passing_run_renders_nothing():
+    cat = CountingW(max_level=3, bound=3)
+    report = check_globularity(cat).merged(check_axioms(cat))
+    assert report.passed
+    assert cat.renders == 0
+
+
+def test_witnesses_render_the_cells_they_name():
+    cat = CountingHeavy(max_level=2, bound=3)
+    report = check_axioms(cat, samples=200)
+    assert cat.renders > 0
+    a = cat.cells(1)[0]
+    detail = report.entry("unit").failures[0].detail
+    assert detail.startswith(f"l=1 p=0 A={w_render(a)}: ")
+    assert f"= {w_render(cat.compose(0, a, w_identity(w_target(a))))} != A" in detail

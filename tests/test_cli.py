@@ -164,3 +164,63 @@ def test_byte_identical_reruns(torus_file):
         first, second = run(*args), run(*args)
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
+
+
+OVERWEIGHT = {
+    "name": "overweight",
+    "max_level": 1,
+    "base_points": [{"id": "a", "index": 3}, {"id": "b", "index": 0}],
+    "moduli": [{
+        "level": 1, "source": "a", "target": "b", "dim": 2,
+        "components": ["c"],
+        "critical_points": [{"id": "ab", "index": 9, "component": "c"}],
+    }],
+}
+OVERWEIGHT_CHECKS = [
+    ("endpoints", "(a,b)", ""),
+    ("dim-formula", "(a,b)", ""),
+    ("component-refs", "ab", ""),
+    ("index-bound", "ab", "index 9 exceeds home dimension 2"),
+]
+NOT_DONE = "flow data overweight failed validation; not {}\n  index-bound ab: index 9 exceeds home dimension 2\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "args, head, text",
+    [
+        (
+            ["build"],
+            {"command": "build", "name": "overweight"},
+            "flow data: overweight\n"
+            "  endpoints              (a,b)                    pass\n"
+            "  dim-formula            (a,b)                    pass\n"
+            "  component-refs         ab                       pass\n"
+            "  index-bound            ab                       FAIL  index 9 exceeds home dimension 2\n"
+            "result: FAIL (4 checks)\n",
+        ),
+        (
+            ["axioms", "--category", "x"],
+            {"command": "axioms", "category": "x"},
+            NOT_DONE.format("checking axioms"),
+        ),
+        (
+            ["functor", "--target", "g"],
+            {"command": "functor", "target": "g"},
+            NOT_DONE.format("applying the functor"),
+        ),
+    ],
+    ids=["build", "axioms-x", "functor"],
+)
+def test_invalid_document_is_refused(tmp_path, fmt, args, head, text):
+    path = tmp_path / "overweight.json"
+    path.write_text(json.dumps(OVERWEIGHT))
+    out = run(args[0], str(path), *args[1:], "--format", fmt)
+    if fmt == "json":
+        checks = [
+            {"check": c, "subject": s, "passed": not d, "detail": d}
+            for c, s, d in OVERWEIGHT_CHECKS
+        ]
+        report = {"checks": checks, "passed": False}
+        text = json.dumps({"schema": 1, **head, "report": report}, indent=2) + "\n"
+    assert (out.returncode, out.stdout) == (1, text)

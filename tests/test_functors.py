@@ -122,3 +122,21 @@ def test_inconsistent_indices_are_reported_by_the_law_check():
     report = check_functor_laws(fd, "g")
     assert not report.passed
     assert report.entry("index-bound").verdict == "fail"
+
+
+@pytest.mark.parametrize("target", ["g", "f"])
+def test_overweight_functor_witnesses(target):
+    fd = parse_flow_data(json.dumps(overweight_document()))
+    report = check_functor_laws(fd, target)
+    name = target.upper()
+    bad = (
+        f"raised {name}((ab; a->b)) is not a valid cell: "
+        "level 0: entry above level 0 must be < i_0-j_0=1, got 5"
+    )
+    assert {e.axiom: (e.checked, [f.detail for f in e.failures]) for e in report.entries} == {
+        f"functor-{target}-source": (1, [f"{name}(s((ab; a->b))): {bad}"]),
+        f"functor-{target}-target": (1, [f"{name}(t((ab; a->b))): {bad}"]),
+        f"functor-{target}-identity": (2, []),
+        f"functor-{target}-compose": (0, []),
+        "index-bound": (1, ["(ab; a->b): ind(head)=5, want 0 <= ind(head) < 1-0"]),
+    }
