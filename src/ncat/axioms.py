@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InvalidArguments, NCatError
 
@@ -36,6 +37,7 @@ __all__ = [
     "AxiomEntry",
     "AxiomReport",
     "composable",
+    "composable_pairs",
     "check_globularity",
     "check_axioms",
 ]
@@ -119,6 +121,27 @@ def composable(cat, p: int, a, c) -> bool:
     return _chain(cat, a, cat.target, k) == _chain(cat, c, cat.source, k)
 
 
+def composable_pairs(chain, p, inner, outer):
+    """Yield each (a, c), a from inner and c from outer, with chain(a, p, 1)
+    (a's depth-p t-chain) equal to chain(c, p, 0) (c's s-chain): a in input
+    order, then c in input order.  The one composability index, shared by
+    the law engine and X (closure and pair lists)."""
+    by_source = {}
+    for c in outer:
+        by_source.setdefault(chain(c, p, 0), []).append(c)
+    for a in inner:
+        for c in by_source.get(chain(a, p, 1), ()):
+            yield a, c
+
+
+def _partners(pairs, side):
+    """The cell at ``side`` of each pair -> its partners, in list order."""
+    out = {}
+    for pair in pairs:
+        out.setdefault(pair[side], []).append(pair[1 - side])
+    return out
+
+
 class _Law:
     """The tally of one law: instances checked and witnesses found.
 
@@ -159,12 +182,18 @@ class _Law:
         self.checked += 1
         self.eval(ctx, lambda: self.expect(ctx, *sides()))
 
+    def holds(self, ctx, pred) -> None:
+        """One instance that fails, with witness ctx(), unless pred() is true."""
+        self.checked += 1
+        if self.eval(ctx, pred) is False:
+            self.fail(ctx())
+
     def entry(self) -> AxiomEntry:
         return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
 
 
 class _Run:
-    """One checking run: sampled cells per level plus memoized pair sets."""
+    """One checking run: sampled cells per level plus memoized pair lists."""
 
     def __init__(self, cat, sample, seed, samples, levels):
         self.cat = cat
@@ -183,22 +212,15 @@ class _Run:
         self._pairs = {}
 
     def pairs(self, l: int, p: int) -> list:
-        """Ordered composable pairs (inner, outer) among the level-l sample."""
-        key = (l, p)
-        if key not in self._pairs:
+        """The first cap composable pairs (inner, outer) among the level-l
+        sample, keyed on normalized chains."""
+        if (l, p) not in self._pairs:
             cat = self.cat
-            k = l - p
-            by_src = {}
-            for c in self.cells[l]:
-                by_src.setdefault(_chain(cat, c, cat.source, k), []).append(c)
-            out = []
-            for a in self.cells[l]:
-                out.extend((a, c) for c in by_src.get(_chain(cat, a, cat.target, k), []))
-                if len(out) >= self.cap:
-                    out = out[: self.cap]
-                    break
-            self._pairs[key] = out
-        return self._pairs[key]
+            steps = (cat.source, cat.target)
+            chain = lambda cell, depth, side: _chain(cat, cell, steps[side], l - depth)
+            cells = self.cells[l]
+            self._pairs[l, p] = list(islice(composable_pairs(chain, p, cells, cells), self.cap))
+        return self._pairs[l, p]
 
 
 def check_globularity(cat, levels=None, sample=None) -> AxiomReport:
@@ -211,13 +233,9 @@ def check_globularity(cat, levels=None, sample=None) -> AxiomReport:
             continue
         cells = sample[l] if sample is not None else cat.cells(l)
         for x in cells:
-            ss.checked += 1
-            ts.checked += 1
-            s, t = cat.source(x), cat.target(x)
-            if not ss.same(cat.source(s), cat.source(t)):
-                ss.fail(f"level {l}: x={cat.render(x)}")
-            if not ts.same(cat.target(s), cat.target(t)):
-                ts.fail(f"level {l}: x={cat.render(x)}")
+            ctx = lambda: f"level {l}: x={cat.render(x)}"
+            ss.holds(ctx, lambda: ss.same(cat.source(cat.source(x)), cat.source(cat.target(x))))
+            ts.holds(ctx, lambda: ts.same(cat.target(cat.source(x)), cat.target(cat.target(x))))
     return AxiomReport((ss.entry(), ts.entry()))
 
 
@@ -225,8 +243,10 @@ def check_axioms(cat, sample=None, *, seed=0, samples=1000, levels=None) -> Axio
     """Run the six composition laws over the sample and report witnesses.
 
     ``sample`` maps level -> list of cells; by default cat.cells(l) for
-    every level up to cat.max_level.  Oversized levels are subsampled with
-    the given seed; everything else is deterministic in the sample order.
+    every level up to cat.max_level.  A level's list must not repeat a
+    cell.  Oversized levels are subsampled with the given seed; everything
+    else is deterministic in the sample order, and the ``samples`` cap
+    also bounds each law's instances per level and depth.
     """
     run = _Run(cat, sample, seed, samples, levels)
     cat_n = cat.max_level
@@ -253,12 +273,12 @@ def _comp_st(run) -> AxiomEntry:
                     continue
                 law.checked += 1
                 if p == l - 1:
-                    want_s, want_t = cat.source(a), cat.target(c)
+                    want_s, want_t = (lambda: cat.source(a)), (lambda: cat.target(c))
                 else:
-                    want_s = cat.compose(p, cat.source(a), cat.source(c))
-                    want_t = cat.compose(p, cat.target(a), cat.target(c))
-                law.expect(ctx, cat.source(ac), want_s, "s(CoA)={} != {}")
-                law.expect(ctx, cat.target(ac), want_t, "t(CoA)={} != {}")
+                    want_s = lambda: cat.compose(p, cat.source(a), cat.source(c))
+                    want_t = lambda: cat.compose(p, cat.target(a), cat.target(c))
+                law.eval(ctx, lambda: law.expect(ctx, cat.source(ac), want_s(), "s(CoA)={} != {}"))
+                law.eval(ctx, lambda: law.expect(ctx, cat.target(ac), want_t(), "t(CoA)={} != {}"))
     return law.entry()
 
 
@@ -269,10 +289,11 @@ def _id_st(run, cat_n) -> AxiomEntry:
         if l >= cat_n:
             continue
         for a in run.cells[l]:
-            law.checked += 1
-            one = cat.identity(a)
-            if not (law.same(cat.source(one), a) and law.same(cat.target(one), a)):
-                law.fail(f"level {l}: A={cat.render(a)}")
+            law.holds(
+                lambda: f"level {l}: A={cat.render(a)}",
+                lambda: law.same(cat.source(one := cat.identity(a)), a)
+                and law.same(cat.target(one), a),
+            )
     return law.entry()
 
 
@@ -282,28 +303,24 @@ def _assoc(run) -> AxiomEntry:
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
-            firsts = {}
-            for a, c in pairs:
-                firsts.setdefault(c, []).append(a)
-            count = 0
-            for c, e in pairs:  # (c, e): e after c
-                for a in firsts.get(c, ()):  # (a, c): a before c
-                    if count >= run.cap:
-                        break
-                    count += 1
-                    law.checked += 1
-                    ctx = lambda: (
-                        f"l={l} p={p} A={cat.render(a)} C={cat.render(c)} E={cat.render(e)}"
-                    )
-                    law.expect(
-                        ctx,
-                        law.eval(ctx, lambda: cat.compose(p, cat.compose(p, a, c), e)),
-                        law.eval(ctx, lambda: cat.compose(p, a, cat.compose(p, c, e))),
-                    )
+            inners = _partners(pairs, 1)
+            triples = ((a, c, e) for c, e in pairs for a in inners.get(c, ()))
+            for a, c, e in islice(triples, run.cap):
+                law.checked += 1
+                ctx = lambda: (
+                    f"l={l} p={p} A={cat.render(a)} C={cat.render(c)} E={cat.render(e)}"
+                )
+                law.expect(
+                    ctx,
+                    law.eval(ctx, lambda: cat.compose(p, cat.compose(p, a, c), e)),
+                    law.eval(ctx, lambda: cat.compose(p, a, cat.compose(p, c, e))),
+                )
     return law.entry()
 
 
-def _tower(cat, cell, k):
+def _tower(cat, cell, step, k):
+    """The k-fold identity on the normalized k-step chain of the cell."""
+    cell = _chain(cat, cell, step, k)
     for _ in range(k):
         cell = cat.identity(cell)
     return cell
@@ -320,10 +337,8 @@ def _unit(run) -> AxiomEntry:
                 k = l - p
                 law.checked += 1
                 ctx = lambda: f"l={l} p={p} A={cat.render(a)}"
-                right = _tower(cat, _chain(cat, a, cat.target, k), k)
-                left = _tower(cat, _chain(cat, a, cat.source, k), k)
-                lhs = law.eval(ctx, lambda: cat.compose(p, a, right))
-                rhs = law.eval(ctx, lambda: cat.compose(p, left, a))
+                lhs = law.eval(ctx, lambda: cat.compose(p, a, _tower(cat, a, cat.target, k)))
+                rhs = law.eval(ctx, lambda: cat.compose(p, _tower(cat, a, cat.source, k), a))
                 law.expect(ctx, lhs, a, "1-tower o_p A = {} != A")
                 law.expect(ctx, rhs, a, "A o_p 1-tower = {} != A")
     return law.entry()
@@ -335,32 +350,31 @@ def _binary_interchange(run) -> AxiomEntry:
     for l in run.levels:
         for p in range(1, l):
             pairs_p = run.pairs(l, p)
+            at_p = set(pairs_p)
             for q in range(p):
-                set_q = set(run.pairs(l, q))
-                count = 0
-                for a, c in pairs_p:
-                    for e, h in pairs_p:
-                        if (a, e) not in set_q or (c, h) not in set_q:
-                            continue
-                        if count >= run.cap:
-                            break
-                        count += 1
-                        law.checked += 1
-                        ctx = lambda: (
-                            f"l={l} p={p} q={q} A={cat.render(a)} C={cat.render(c)} "
-                            f"E={cat.render(e)} H={cat.render(h)}"
-                        )
-                        law.expect(
-                            ctx,
-                            law.eval(
-                                ctx,
-                                lambda: cat.compose(q, cat.compose(p, a, c), cat.compose(p, e, h)),
-                            ),
-                            law.eval(
-                                ctx,
-                                lambda: cat.compose(p, cat.compose(q, a, e), cat.compose(q, c, h)),
-                            ),
-                        )
+                succ = _partners(run.pairs(l, q), 0)
+                quads = (
+                    (a, c, e, h)
+                    for a, c in pairs_p
+                    for e in succ.get(a, ())
+                    for h in succ.get(c, ())
+                    if (e, h) in at_p
+                )
+                for a, c, e, h in islice(quads, run.cap):
+                    law.checked += 1
+                    ctx = lambda: (
+                        f"l={l} p={p} q={q} A={cat.render(a)} C={cat.render(c)} "
+                        f"E={cat.render(e)} H={cat.render(h)}"
+                    )
+                    law.expect(
+                        ctx,
+                        law.eval(
+                            ctx, lambda: cat.compose(q, cat.compose(p, a, c), cat.compose(p, e, h))
+                        ),
+                        law.eval(
+                            ctx, lambda: cat.compose(p, cat.compose(q, a, e), cat.compose(q, c, h))
+                        ),
+                    )
     return law.entry()
 
 

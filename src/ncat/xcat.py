@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .axioms import composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -34,7 +35,6 @@ __all__ = [
     "Label",
     "normalize",
     "point_like",
-    "render_label",
     "label_key",
     "XCell",
     "x_cells",
@@ -78,10 +78,6 @@ class Seq:
 
 
 Label = "Atom | Pt | Seq"
-
-
-def render_label(x) -> str:
-    return str(x)
 
 
 def label_key(x):
@@ -128,42 +124,37 @@ def normalize(x, fd: "FlowData | None" = None):
         return x
     if isinstance(x, Pt):
         return Pt(normalize(x.of, fd))
-    parts = [normalize(p, fd) for p in x.parts]
-    while True:
-        before = list(parts)
-        # (1) flatten
-        flat = []
-        for p in parts:
-            flat.extend(p.parts) if isinstance(p, Seq) else flat.append(p)
-        parts = flat
-        # (4) collapse repeated point-like blocks, shortest-leftmost first
-        changed = True
-        while changed:
-            changed = False
-            for k in range(1, len(parts) // 2 + 1):
-                for i in range(len(parts) - 2 * k + 1):
-                    block = parts[i : i + k]
-                    if parts[i + k : i + 2 * k] == block and all(
-                        point_like(p, fd) for p in block
-                    ):
-                        del parts[i + k : i + 2 * k]
-                        changed = True
-                        break
-                if changed:
-                    break
-        # (2) absorb diagonal pieces when a real piece remains
-        if any(isinstance(p, Pt) for p in parts) and any(
-            not isinstance(p, Pt) for p in parts
-        ):
-            parts = [p for p in parts if not isinstance(p, Pt)]
-        if parts == before:
-            break
+    # (1) flatten; normal parts hold no gluings, so one level is enough
+    parts = []
+    for p in x.parts:
+        n = normalize(p, fd)
+        parts.extend(n.parts) if isinstance(n, Seq) else parts.append(n)
+    parts = _collapse(parts, fd)
+    # (2) absorb diagonal pieces when a real piece remains; dropping them
+    # can bring equal point-like blocks together, so (4) runs once more
+    if any(isinstance(p, Pt) for p in parts) and not all(isinstance(p, Pt) for p in parts):
+        parts = _collapse([p for p in parts if not isinstance(p, Pt)], fd)
     if len(parts) == 1:
         return parts[0]
     if all(isinstance(p, Pt) for p in parts):
         # (3); the collapse above already removed equal neighbours
         return Pt(normalize(Seq(tuple(p.of for p in parts)), fd))
     return Seq(tuple(parts))
+
+
+def _collapse(parts: list, fd) -> list:
+    """(4) until it no longer applies: delete the second of two equal
+    adjacent point-like blocks, shortest-leftmost first."""
+    k = 1
+    while 2 * k <= len(parts):
+        for i in range(len(parts) - 2 * k + 1):
+            block = parts[i : i + k]
+            if parts[i + k : i + 2 * k] == block and all(point_like(p, fd) for p in block):
+                del parts[i + k : i + 2 * k]
+                k = 0  # start again from the shortest blocks
+                break
+        k += 1
+    return parts
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,34 +309,21 @@ def _close_under_composition(fd: FlowData, level: int, cells: list) -> list:
         old = [x for x in pool if x not in new]
         fresh = []
         for p in range(level):
-            for a, c in _pairs_at(p, frontier, pool) + _pairs_at(p, old, frontier):
-                out = x_compose(fd, p, a, c)
-                if out not in seen:
-                    seen.add(out)
-                    fresh.append(out)
+            for inner, outer in ((frontier, pool), (old, frontier)):
+                for a, c in composable_pairs(_chain_key, p, inner, outer):
+                    out = x_compose(fd, p, a, c)
+                    if out not in seen:
+                        seen.add(out)
+                        fresh.append(out)
         pool = pool + fresh
         frontier = fresh
     return sorted(pool, key=XCell.key)
 
 
-def _pairs_at(p: int, inner: list, outer: list) -> list:
-    """Pairs (a, c), a from inner and c from outer, composable at depth p;
-    a in input order, then c in input order.  The outer cells are
-    bucketed by their depth-p s-chain and each inner cell looks up its
-    depth-p t-chain."""
-    if inner and not 0 <= p < inner[0].level:
-        raise InvalidArguments(f"depth p={p} out of range for level {inner[0].level}")
-    by_source = {}
-    for c in outer:
-        by_source.setdefault(_chain_key(c, p, 0), []).append(c)
-    return [(a, c) for a in inner for c in by_source.get(_chain_key(a, p, 1), ())]
-
-
 def x_composable_pairs(fd: FlowData, level: int, p: int, include_composites: bool = False) -> list:
     """Ordered pairs (inner, outer) among the level's cells, ready for
     x_compose at depth p."""
-    cells = x_cells(fd, level, include_composites)
-    return _pairs_at(p, cells, cells)
+    return XCategory(fd, include_composites).pairs(level, p)
 
 
 class XCategory:
@@ -371,7 +349,9 @@ class XCategory:
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""
         cells = self.cells(level)
-        return _pairs_at(p, cells, cells)
+        if cells and not 0 <= p < level:
+            raise InvalidArguments(f"depth p={p} out of range for level {level}")
+        return list(composable_pairs(_chain_key, p, cells, cells))
 
     def level_of(self, cell) -> int:
         return cell.level

@@ -10,6 +10,7 @@ library is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+import random
 
 from ncat.xcat import XCell, x_cells, x_compose, x_source, x_target
 
@@ -64,6 +65,49 @@ def brute_composable_pairs(cells, p, source, target, level_of):
             if walk(a, target, k) == walk(c, source, k):
                 out.append((a, c))
     return out
+
+
+def sampled_levels(cat, levels, seed: int, cap: int) -> dict:
+    """Each level's cells as check_axioms samples them: a level with more
+    than cap cells keeps cap of them, drawn by one random.Random(seed) in
+    level order and kept in enumeration order."""
+    rng = random.Random(seed)
+    out = {}
+    for l in levels:
+        cells = cat.cells(l)
+        if len(cells) > cap:
+            cells = [cells[i] for i in sorted(rng.sample(range(len(cells)), cap))]
+        out[l] = cells
+    return out
+
+
+def capped_law_instances(cells, level: int, cap: int, source, target):
+    """The assoc and binary-interchange instances on one level's cells in
+    the order the engine checks them, found by all-pairs scans.  Each
+    depth's composable pairs are capped at cap.  assoc takes (A, C, E) for
+    each pair (C, E), then each pair (A, C); binary interchange takes
+    (A, C, E, H) for each p-pair (A, C), then each p-pair (E, H) whose
+    (A, E) and (C, H) are q-pairs.  Each p, or (p, q), keeps its first cap
+    instances.  Returns ({p: triples}, {(p, q): quadruples})."""
+    pairs = {
+        p: brute_composable_pairs(cells, p, source, target, lambda _: level)[:cap]
+        for p in range(level)
+    }
+    assoc = {
+        p: [(a, c, e) for c, e in pairs[p] for a, c2 in pairs[p] if c2 == c][:cap]
+        for p in range(level)
+    }
+    interchange = {}
+    for p in range(1, level):
+        for q in range(p):
+            set_q = set(pairs[q])
+            interchange[p, q] = [
+                (a, c, e, h)
+                for a, c in pairs[p]
+                for e, h in pairs[p]
+                if (a, e) in set_q and (c, h) in set_q
+            ][:cap]
+    return assoc, interchange
 
 
 def random_wcell(rng, level: int, bound: int):

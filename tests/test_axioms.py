@@ -8,7 +8,7 @@ from ncat.axioms import (
     check_globularity,
     composable,
 )
-from ncat.errors import InvalidArguments
+from ncat.errors import InvalidArguments, NCatError, NotComposable
 from ncat.vcat import VCategory
 from ncat.wcat import (
     WCategory,
@@ -21,7 +21,7 @@ from ncat.wcat import (
     w_target,
 )
 
-from oracles import brute_composable_pairs
+from oracles import brute_composable_pairs, capped_law_instances, sampled_levels
 
 
 def test_composable_matches_brute_force():
@@ -191,3 +191,127 @@ def test_witnesses_render_the_cells_they_name():
     detail = report.entry("unit").failures[0].detail
     assert detail.startswith(f"l=1 p=0 A={w_render(a)}: ")
     assert f"= {w_render(cat.compose(0, a, w_identity(w_target(a))))} != A" in detail
+
+
+class LowComposeRaises(WCategory):
+    """Deliberately broken: composing level-1 cells raises."""
+
+    def compose(self, p, a, c):
+        if self.level_of(a) == 1:
+            raise NotComposable(p, "level-1 composition is broken")
+        return w_compose(p, a, c)
+
+
+class IdentityRaises(WCategory):
+    """Deliberately broken: no cell has an identity."""
+
+    def identity(self, cell):
+        raise InvalidArguments("no identities here")
+
+
+class TargetRaises(WCategory):
+    """Deliberately broken: level-1 cells have no target."""
+
+    def target(self, cell):
+        if self.level_of(cell) == 1:
+            raise InvalidArguments("no targets of level-1 cells")
+        return super().target(cell)
+
+
+BROKEN = ": raised not composable at p=0: level-1 composition is broken"
+LOW_COMPOSE_COUNTS = {
+    "comp-st": (23, 40), "id-st": (10, 0), "assoc": (49, 36), "unit": (23, 14),
+    "binary-interchange": (16, 0), "nullary-interchange": (12, 12),
+}
+LOW_COMPOSE_FIRST = {
+    "comp-st": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0])" + BROKEN,
+    "assoc": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0]) E=(0, [0 ; 0])" + BROKEN,
+    "unit": "l=1 p=0 A=(0, [0 ; 0])" + BROKEN,
+    "nullary-interchange": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0])" + BROKEN,
+}
+IDENTITY_COUNTS = {
+    "comp-st": (35, 0), "id-st": (10, 10), "assoc": (49, 0), "unit": (23, 46),
+    "binary-interchange": (16, 0), "nullary-interchange": (12, 24),
+}
+IDENTITY_FIRST = {
+    "id-st": "level 0: A=0: raised no identities here",
+    "unit": "l=1 p=0 A=(0, [0 ; 0]): raised no identities here",
+    "nullary-interchange": "l=1 p=0 A=(0, [0 ; 0]) C=(0, [0 ; 0]): raised no identities here",
+}
+
+
+@pytest.mark.parametrize(
+    "cls, counts, first",
+    [
+        (LowComposeRaises, LOW_COMPOSE_COUNTS, LOW_COMPOSE_FIRST),
+        (IdentityRaises, IDENTITY_COUNTS, IDENTITY_FIRST),
+    ],
+    ids=["low-compose-raises", "identity-raises"],
+)
+def test_raising_category_calls_are_witnesses(cls, counts, first):
+    report = check_axioms(cls(max_level=2, bound=2))
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == counts
+    assert {e.axiom: e.failures[0].detail for e in report.entries if e.failures} == first
+
+
+def test_raising_expected_boundary_is_a_witness():
+    # comp-st composes the boundaries of a level-2 pair one level down
+    report = check_axioms(LowComposeRaises(max_level=2, bound=2))
+    details = [f.detail for f in report.entry("comp-st").failures]
+    assert details.count("l=2 p=0 A=(0, [0 0 ; 0 0]) C=(0, [0 0 ; 0 0])" + BROKEN) == 2
+    assert sum(d.startswith("l=2 ") for d in details) == 28
+
+
+def test_raising_boundary_in_globularity_is_a_witness():
+    report = check_globularity(TargetRaises(max_level=2, bound=2))
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == {
+        "globular-ss": (8, 0), "globular-ts": (8, 8),
+    }
+    assert report.entry("globular-ts").failures[0].detail == (
+        "level 2: x=(0, [0 0 ; 0 0]): raised no targets of level-1 cells"
+    )
+
+
+def _witnesses(ctx, lhs, rhs):
+    """What the engine records for one two-sided instance on W: each side
+    that raises, then a mismatch of two computed sides."""
+    out, sides = [], []
+    for side in (lhs, rhs):
+        try:
+            sides.append(side())
+        except NCatError as e:
+            out.append(f"{ctx}: raised {e}")
+    if len(sides) == 2 and sides[0] != sides[1]:
+        out.append(f"{ctx}: {w_render(sides[0])} != {w_render(sides[1])}")
+    return out
+
+
+@pytest.mark.parametrize("cap", [20, 25, 50, 200])
+def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
+    cat = HeavyCompose(max_level=3, bound=3)
+    report = check_axioms(cat, samples=cap)
+    r, comp = w_render, cat.compose
+    assoc, interchange = [], []
+    for l, cells in sampled_levels(cat, range(4), 0, cap).items():
+        triples, quads = capped_law_instances(cells, l, cap, w_source, w_target)
+        for p, found in triples.items():
+            for a, c, e in found:
+                assoc.append(_witnesses(
+                    f"l={l} p={p} A={r(a)} C={r(c)} E={r(e)}",
+                    lambda: comp(p, comp(p, a, c), e),
+                    lambda: comp(p, a, comp(p, c, e)),
+                ))
+        for (p, q), found in quads.items():
+            for a, c, e, h in found:
+                interchange.append(_witnesses(
+                    f"l={l} p={p} q={q} A={r(a)} C={r(c)} E={r(e)} H={r(h)}",
+                    lambda: comp(q, comp(p, a, c), comp(p, e, h)),
+                    lambda: comp(p, comp(q, a, e), comp(q, c, h)),
+                ))
+    for axiom, want in (("assoc", assoc), ("binary-interchange", interchange)):
+        entry = report.entry(axiom)
+        assert entry.checked == len(want)
+        assert [f.detail for f in entry.failures] == [w for ws in want for w in ws]
+    # the cap cuts both laws short below 200 (306 and 203 instances uncapped)
+    assert (report.entry("assoc").checked < 306) == (cap < 200)
+    assert (report.entry("binary-interchange").checked < 203) == (cap < 200)
