@@ -195,7 +195,9 @@ class _Law:
 class _Run:
     """One checking run: sampled cells per level plus memoized pair lists."""
 
-    def __init__(self, cat, sample, seed, samples, levels):
+    def __init__(self, cat, seed, samples, levels):
+        if samples < 0:
+            raise InvalidArguments(f"samples must be non-negative, got {samples}")
         self.cat = cat
         self.cap = samples
         if levels is None:
@@ -204,7 +206,7 @@ class _Run:
         rng = random.Random(seed)
         self.cells = {}
         for l in self.levels:
-            cells = list(sample[l]) if sample is not None else list(cat.cells(l))
+            cells = list(cat.cells(l))
             if len(cells) > samples:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
@@ -223,7 +225,7 @@ class _Run:
         return self._pairs[l, p]
 
 
-def check_globularity(cat, levels=None, sample=None) -> AxiomReport:
+def check_globularity(cat, levels=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
     if levels is None:
         levels = range(cat.max_level + 1)
@@ -231,24 +233,22 @@ def check_globularity(cat, levels=None, sample=None) -> AxiomReport:
     for l in levels:
         if l < 2:
             continue
-        cells = sample[l] if sample is not None else cat.cells(l)
-        for x in cells:
+        for x in cat.cells(l):
             ctx = lambda: f"level {l}: x={cat.render(x)}"
             ss.holds(ctx, lambda: ss.same(cat.source(cat.source(x)), cat.source(cat.target(x))))
             ts.holds(ctx, lambda: ts.same(cat.target(cat.source(x)), cat.target(cat.target(x))))
     return AxiomReport((ss.entry(), ts.entry()))
 
 
-def check_axioms(cat, sample=None, *, seed=0, samples=1000, levels=None) -> AxiomReport:
-    """Run the six composition laws over the sample and report witnesses.
+def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
+    """Run the six composition laws over cat.cells(l) for each level
+    (by default every level up to cat.max_level) and report witnesses.
 
-    ``sample`` maps level -> list of cells; by default cat.cells(l) for
-    every level up to cat.max_level.  A level's list must not repeat a
-    cell.  Oversized levels are subsampled with the given seed; everything
-    else is deterministic in the sample order, and the ``samples`` cap
-    also bounds each law's instances per level and depth.
+    A level with more than ``samples`` cells is subsampled with the given
+    seed; everything else is deterministic in cell order, and the
+    ``samples`` cap also bounds each law's instances per level and depth.
     """
-    run = _Run(cat, sample, seed, samples, levels)
+    run = _Run(cat, seed, samples, levels)
     cat_n = cat.max_level
     entries = [
         _comp_st(run),

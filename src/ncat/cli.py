@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .axioms import check_axioms, check_globularity
 from .errors import FlowDataInconsistent, NCatError
@@ -31,16 +30,8 @@ SCHEMA_VERSION = 1
 ENUM_BOUND = 3  # entry bound behind `axioms --category w|v`
 
 
-@dataclass
-class RunConfig:
-    level: int = 2
-    seed: int = 0
-    samples: int = 1000
-    fmt: str = "text"
-
-
-def _emit(payload: dict, cfg: RunConfig, text_lines) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, args, text_lines) -> None:
+    if args.fmt == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
     else:
         for line in text_lines:
@@ -53,6 +44,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _Usage(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _Usage(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
 class _Usage(Exception):
@@ -74,22 +67,22 @@ def _validation_lines(fd, report):
     return lines
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
+def cmd_validate(args) -> int:
     fd, report = _load(args.file)
     _emit(
         {"command": "validate", "name": fd.name, "report": report.to_dict()},
-        cfg,
+        args,
         _validation_lines(fd, report),
     )
     return 0 if report.passed else 1
 
 
-def _load_valid(path: str, cfg: RunConfig, head: dict, doing: str | None = None):
-    """The document at ``path``, or None after printing the refusal of one
-    that fails validation.  With ``doing``, the refusal says what was not
-    done and lists the failed checks; without it, it is `validate`'s report
-    with the document's name added to ``head``."""
-    fd, report = _load(path)
+def _load_valid(args, head: dict, doing: str | None = None):
+    """The document named by ``args.file``, or None after printing the
+    refusal of one that fails validation.  With ``doing``, the refusal says
+    what was not done and lists the failed checks; without it, it is
+    `validate`'s report with the document's name added to ``head``."""
+    fd, report = _load(args.file)
     if report.passed:
         return fd
     if doing is None:
@@ -98,21 +91,21 @@ def _load_valid(path: str, cfg: RunConfig, head: dict, doing: str | None = None)
     else:
         lines = [f"flow data {fd.name} failed validation; not {doing}"]
         lines += [f"  {c.check} {c.subject}: {c.detail}" for c in report.failures()]
-    _emit({**head, "report": report.to_dict()}, cfg, lines)
+    _emit({**head, "report": report.to_dict()}, args, lines)
     return None
 
 
-def cmd_build(args, cfg: RunConfig) -> int:
-    fd = _load_valid(args.file, cfg, {"command": "build"})
+def cmd_build(args) -> int:
+    fd = _load_valid(args, {"command": "build"})
     if fd is None:
         return 1
-    top = min(cfg.level, fd.max_level)
+    top = min(args.level, fd.max_level)
     levels = {l: x_cells(fd, l) for l in range(top + 1)}
     lines = [f"flow data: {fd.name} (levels 0..{top})"]
     for l, cells in levels.items():
         lines.append(f"level {l}: {len(cells)} cells")
         lines.extend(f"  {x_render(c)}" for c in cells)
-    if cfg.level > fd.max_level:
+    if args.level > fd.max_level:
         lines.append(f"note: no cells above level {fd.max_level}")
     _emit(
         {
@@ -121,31 +114,31 @@ def cmd_build(args, cfg: RunConfig) -> int:
             "counts": {str(l): len(cells) for l, cells in levels.items()},
             "cells": {str(l): [x_render(c) for c in cells] for l, cells in levels.items()},
         },
-        cfg,
+        args,
         lines,
     )
     return 0
 
 
-def cmd_axioms(args, cfg: RunConfig) -> int:
+def cmd_axioms(args) -> int:
     if args.category == "x":
         if args.file is None:
             raise _Usage("axioms --category x needs a flow-data file")
         head = {"command": "axioms", "category": "x"}
-        fd = _load_valid(args.file, cfg, head, "checking axioms")
+        fd = _load_valid(args, head, "checking axioms")
         if fd is None:
             return 1
         cat, name = XCategory(fd, include_composites=True), fd.name
     else:
         make = WCategory if args.category == "w" else VCategory
-        cat, name = make(max_level=cfg.level, bound=ENUM_BOUND), args.category
-    levels = range(min(cfg.level, cat.max_level) + 1)
+        cat, name = make(max_level=args.level, bound=ENUM_BOUND), args.category
+    levels = range(min(args.level, cat.max_level) + 1)
     report = check_globularity(cat, levels).merged(
-        check_axioms(cat, seed=cfg.seed, samples=cfg.samples, levels=levels)
+        check_axioms(cat, seed=args.seed, samples=args.samples, levels=levels)
     )
     lines = [
         f"axioms: category {args.category} ({name}), levels 0..{levels[-1]}, "
-        f"seed {cfg.seed}, samples {cfg.samples}"
+        f"seed {args.seed}, samples {args.samples}"
     ]
     for e in report.entries:
         lines.append(f"  {e.axiom:<22} checked {e.checked:<5} {e.verdict}")
@@ -155,24 +148,24 @@ def cmd_axioms(args, cfg: RunConfig) -> int:
         {
             "command": "axioms",
             "category": args.category,
-            "config": {"level": cfg.level, "seed": cfg.seed, "samples": cfg.samples},
+            "config": {"level": args.level, "seed": args.seed, "samples": args.samples},
             "report": report.to_dict(),
         },
-        cfg,
+        args,
         lines,
     )
     return 0 if report.passed else 1
 
 
-def cmd_functor(args, cfg: RunConfig) -> int:
+def cmd_functor(args) -> int:
     head = {"command": "functor", "target": args.target}
-    fd = _load_valid(args.file, cfg, head, "applying the functor")
+    fd = _load_valid(args, head, "applying the functor")
     if fd is None:
         return 1
     env = ind_env(fd)
     apply = functor_g if args.target == "g" else functor_f
     render = w_render if args.target == "g" else v_render
-    top = min(cfg.level, fd.max_level)
+    top = min(args.level, fd.max_level)
     rows = []
     failures = []
     for l in range(top + 1):
@@ -192,13 +185,13 @@ def cmd_functor(args, cfg: RunConfig) -> int:
             "images": [{"cell": c, "image": i} for c, i in rows],
             "failures": failures,
         },
-        cfg,
+        args,
         lines,
     )
     return 0 if not failures else 1
 
 
-def cmd_torus(args, cfg: RunConfig) -> int:
+def cmd_torus(args) -> int:
     if args.emit:
         print(json.dumps(torus_document(), indent=2))
         return 0
@@ -239,10 +232,22 @@ def cmd_torus(args, cfg: RunConfig) -> int:
             "match": not problems,
             "problems": problems,
         },
-        cfg,
+        args,
         lines,
     )
     return 0 if not problems else 1
+
+
+def _non_negative(text: str) -> int:
+    """The type of --level and --samples: anything but a non-negative
+    integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -254,7 +259,9 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, with_level=True):
         if with_level:
-            p.add_argument("--level", type=int, default=2, help="top level to use (default 2)")
+            p.add_argument(
+                "--level", type=_non_negative, default=2, help="top level to use (default 2)"
+            )
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt",
             help="output format (default text)",
@@ -275,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--category", choices=("w", "v", "x"), required=True)
     p.add_argument("--seed", type=int, default=0, help="subsampling seed (default 0)")
     p.add_argument(
-        "--samples", type=int, default=1000,
+        "--samples", type=_non_negative, default=1000,
         help="cap on cells/pairs per law instance (default 1000)",
     )
     common(p)
@@ -297,14 +304,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        level=getattr(args, "level", 2),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 1000),
-        fmt=getattr(args, "fmt", "text"),
-    )
     try:
-        return args.run(args, cfg)
+        return args.run(args)
     except _Usage as e:
         print(f"ncat: {e}", file=sys.stderr)
         return 2

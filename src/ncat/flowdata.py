@@ -84,76 +84,76 @@ class FlowData:
         return [pt for pt in self.points.values() if pt.level == 0]
 
 
-def _field(obj, key, kind, path):
-    value = obj[key]
-    where = f"{path}.{key}"
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(where, f"expected an integer, got {value!r}")
-    elif kind is str:
-        if not isinstance(value, str):
-            raise SchemaError(where, f"expected a string, got {value!r}")
-    elif kind is list:
-        if not isinstance(value, list):
-            raise SchemaError(where, f"expected an array, got {value!r}")
-    return value
+_KINDS = {int: "an integer", str: "a string", list: "an array"}
+_BASE_POINT = {"id": str, "index": int}
+_CRIT_POINT = {"id": str, "index": int, "component": str}
+_SPACE = {"level": int, "source": str, "target": str, "dim": int,
+          "components": list, "boundary": list, "critical_points": list}
+_FACTOR = {"source": str, "target": str}
 
 
-def _object(value, path, required, optional=()):
+def _object(value, path, fields, optional=()):
+    """The values of ``fields`` (name -> type) in order, once ``value`` is
+    an object with no unknown field, no missing required field and every
+    field of its declared type (a bool is not an integer).  An absent
+    optional field reads as []."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {value!r}")
     for key in value:
-        if key not in required and key not in optional:
+        if key not in fields:
             raise SchemaError(f"{path}.{key}", "unknown field")
-    for key in required:
-        if key not in value:
+    for key in fields:
+        if key not in value and key not in optional:
             raise SchemaError(path, f"missing field {key!r}")
+    values = [value.get(key, []) for key in fields]
+    for (key, kind), v in zip(fields.items(), values):
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise SchemaError(f"{path}.{key}", f"expected {_KINDS[kind]}, got {v!r}")
+    return values
+
+
+def _add_point(points, path, entry, level=0, home=None):
+    """Parse and register a base point (no home) or a critical point: its
+    index must be non-negative and its id new.  Returns the id."""
+    if home is None:
+        (ident, index), component = _object(entry, path, _BASE_POINT), None
+    else:
+        ident, index, component = _object(entry, path, _CRIT_POINT)
+    if index < 0:
+        raise SchemaError(f"{path}.index", "must be non-negative")
+    if ident in points:
+        raise DuplicateId(path, ident)
+    points[ident] = CritPoint(ident, index, level, home, component)
+    return ident
 
 
 def parse_flow_data(text: str) -> FlowData:
     """Parse and structurally check a JSON flow-data document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or an over-long integer
         raise SchemaError("$", f"invalid JSON: {e}") from None
 
-    _object(doc, "$", {"name": str, "max_level": int, "base_points": list, "moduli": list})
-    name = _field(doc, "name", str, "$")
-    max_level = _field(doc, "max_level", int, "$")
+    name, max_level, base_points, moduli = _object(
+        doc, "$", {"name": str, "max_level": int, "base_points": list, "moduli": list}
+    )
     if max_level < 0:
         raise SchemaError("$.max_level", "must be non-negative")
 
     points: dict[str, CritPoint] = {}
-    for n, entry in enumerate(_field(doc, "base_points", list, "$")):
-        path = f"$.base_points[{n}]"
-        _object(entry, path, {"id": str, "index": int})
-        ident = _field(entry, "id", str, path)
-        index = _field(entry, "index", int, path)
-        if index < 0:
-            raise SchemaError(f"{path}.index", "must be non-negative")
-        if ident in points:
-            raise DuplicateId(path, ident)
-        points[ident] = CritPoint(ident, index, 0, None, None)
+    for n, entry in enumerate(base_points):
+        _add_point(points, f"$.base_points[{n}]", entry)
 
     spaces: dict[tuple[str, str], ModuliSpace] = {}
-    deferred = []  # (space fields, raw critical point entries, path)
-    for n, entry in enumerate(_field(doc, "moduli", list, "$")):
+    for n, entry in enumerate(moduli):
         path = f"$.moduli[{n}]"
-        _object(
-            entry,
-            path,
-            {"level": int, "source": str, "target": str, "dim": int,
-             "components": list, "critical_points": list},
-            optional=("boundary",),
+        level, source, target, dim, raw_components, raw_boundary, raw_points = _object(
+            entry, path, _SPACE, optional=("boundary",)
         )
-        level = _field(entry, "level", int, path)
         if not 1 <= level <= max_level:
             raise SchemaError(f"{path}.level", f"must be between 1 and max_level={max_level}")
-        source = _field(entry, "source", str, path)
-        target = _field(entry, "target", str, path)
-        dim = _field(entry, "dim", int, path)
         components = []
-        for m, comp in enumerate(_field(entry, "components", list, path)):
+        for m, comp in enumerate(raw_components):
             if not isinstance(comp, str):
                 raise SchemaError(f"{path}.components[{m}]", "expected a string")
             if comp in components:
@@ -163,50 +163,28 @@ def parse_flow_data(text: str) -> FlowData:
             raise SchemaError(f"{path}.components", "must be non-empty")
 
         boundary = []
-        for m, chain in enumerate(entry.get("boundary", [])):
+        for m, chain in enumerate(raw_boundary):
             cpath = f"{path}.boundary[{m}]"
             if not isinstance(chain, list) or not chain:
                 raise SchemaError(cpath, "expected a non-empty array of factors")
-            factors = []
-            for k, factor in enumerate(chain):
-                fpath = f"{cpath}[{k}]"
-                _object(factor, fpath, {"source": str, "target": str})
-                factors.append((factor["source"], factor["target"]))
-            boundary.append(tuple(factors))
+            boundary.append(tuple(
+                tuple(_object(factor, f"{cpath}[{k}]", _FACTOR))
+                for k, factor in enumerate(chain)
+            ))
 
         key = (source, target)
         if key in spaces:
             raise DuplicateId(path, f"{source}->{target}")
-        spaces[key] = ModuliSpace(
-            source, target, level, dim, tuple(components), tuple(boundary), ()
+        ids = tuple(
+            _add_point(points, f"{path}.critical_points[{m}]", raw, level, key)
+            for m, raw in enumerate(raw_points)
         )
-        deferred.append((key, entry["critical_points"], path))
-
-    # critical points second, so a level-k space can name points anywhere
-    for key, raw_points, path in deferred:
-        ids = []
-        for m, entry in enumerate(raw_points):
-            ppath = f"{path}.critical_points[{m}]"
-            _object(entry, ppath, {"id": str, "index": int, "component": str})
-            ident = _field(entry, "id", str, ppath)
-            index = _field(entry, "index", int, ppath)
-            if index < 0:
-                raise SchemaError(f"{ppath}.index", "must be non-negative")
-            if ident in points:
-                raise DuplicateId(ppath, ident)
-            points[ident] = CritPoint(
-                ident, index, spaces[key].level, key, entry["component"]
-            )
-            ids.append(ident)
-        sp = spaces[key]
         spaces[key] = ModuliSpace(
-            sp.source, sp.target, sp.level, sp.dim, sp.components, sp.boundary, tuple(ids)
+            source, target, level, dim, tuple(components), tuple(boundary), ids
         )
 
-    fd = FlowData(name, max_level, points, spaces)
-
-    # reference resolution: endpoints and boundary factors must name points
-    for n, sp in enumerate(fd.spaces.values()):
+    # reference resolution last: an endpoint may name a point a later space declares
+    for n, sp in enumerate(spaces.values()):
         path = f"$.moduli[{n}]"
         for role, ident in (("source", sp.source), ("target", sp.target)):
             if ident not in points:
@@ -216,7 +194,7 @@ def parse_flow_data(text: str) -> FlowData:
                 for role, ident in (("source", s), ("target", t)):
                     if ident not in points:
                         raise UnknownId(f"{path}.boundary[{m}][{k}].{role}", ident)
-    return fd
+    return FlowData(name, max_level, points, spaces)
 
 
 @dataclass(frozen=True)

@@ -257,17 +257,6 @@ def _spine_of(fd: FlowData, space) -> tuple:
     return (pair,) + _spine_of(fd, home)
 
 
-def _singleton_home(fd: FlowData, cell: XCell) -> bool:
-    """Whether the cell's home component is a single point, so the
-    diagonal over it is itself a (synthesized) zero-dimensional space."""
-    if isinstance(cell.head, Pt):
-        return True  # diagonals of diagonals stay singletons
-    if isinstance(cell.head, Atom):
-        home = fd.home_of(cell.head.id)
-        return home is not None and home.dim == 0
-    return False
-
-
 def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
     """All cells at the given level, sorted.  Above the document's
     max_level there are none (the diagonal tower is not materialized);
@@ -287,10 +276,10 @@ def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
             for sp in sorted(fd.spaces_at_level(level), key=lambda s: s.key)
             for pid in sorted(sp.points)
         ]
-        cells += [
+        cells += [  # the diagonal over a one-point home component
             x_identity(b)
             for b in x_cells(fd, level - 1)
-            if _singleton_home(fd, b)
+            if point_like(b.head, fd)
         ]
         cells.sort(key=XCell.key)
     if include_composites:

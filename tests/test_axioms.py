@@ -315,3 +315,8 @@ def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
     # the cap cuts both laws short below 200 (306 and 203 instances uncapped)
     assert (report.entry("assoc").checked < 306) == (cap < 200)
     assert (report.entry("binary-interchange").checked < 203) == (cap < 200)
+
+
+def test_negative_samples_are_invalid_arguments():
+    with pytest.raises(InvalidArguments):
+        check_axioms(WCategory(max_level=1, bound=2), samples=-1)

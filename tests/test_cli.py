@@ -224,3 +224,49 @@ def test_invalid_document_is_refused(tmp_path, fmt, args, head, text):
         report = {"checks": checks, "passed": False}
         text = json.dumps({"schema": 1, **head, "report": report}, indent=2) + "\n"
     assert (out.returncode, out.stdout) == (1, text)
+
+
+def _document_file(tmp_path, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+NOT_AN_ARRAY = dict(OVERWEIGHT, moduli=[dict(OVERWEIGHT["moduli"][0], critical_points=5)])
+
+
+@pytest.mark.parametrize(
+    "content, stderr",
+    [
+        (NOT_AN_ARRAY, "ncat: SchemaError: $.moduli[0].critical_points: expected an array, got 5"),
+        ("[" * 100_000, "ncat: SchemaError: $: invalid JSON: "),
+        (b'{"name": "\xff\xfe"}', "ncat: cannot read "),
+    ],
+    ids=["critical_points-number", "deep-json", "not-utf8"],
+)
+def test_unreadable_document_is_exit_two(tmp_path, content, stderr):
+    out = run("validate", _document_file(tmp_path, content))
+    assert out.returncode == 2
+    assert out.stderr.startswith(stderr)
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["axioms", "--category", "w", "--samples", "-1"],
+        ["axioms", "--category", "w", "--level", "-1"],
+        ["build", "{file}", "--level", "-1"],
+        ["functor", "{file}", "--target", "g", "--level", "-1"],
+    ],
+    ids=["axioms-samples", "axioms-level", "build-level", "functor-level"],
+)
+def test_negative_counts_are_usage_errors(torus_file, args):
+    out = run(*(torus_file if a == "{file}" else a for a in args))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "non-negative integer" in out.stderr
+    assert "Traceback" not in out.stderr

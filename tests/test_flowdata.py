@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ncat.errors import DuplicateId, SchemaError, UnknownId
+from ncat.errors import DuplicateId, NCatError, SchemaError, UnknownId
 from ncat.flowdata import emit_flow_data, parse_flow_data, validate_flow_data
 
 
@@ -218,3 +218,189 @@ def test_emit_round_trips():
     fd = parse(d)
     assert emit_flow_data(fd) == d
     assert emit_flow_data(parse(emit_flow_data(fd))) == d
+
+
+DROP = object()  # as a mutant's value: delete the field
+
+
+def mutant(path, value):
+    """doc() with the value at ``path`` (keys and indices) replaced, deleted
+    (DROP) or, one past the end of an array, appended."""
+    if not path:
+        return value
+    d = doc()
+    *parents, last = path
+    node = d
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    elif isinstance(node, list) and last == len(node):
+        node.append(value)
+    else:
+        node[last] = value
+    return d
+
+
+# Documents with exactly one schema error, each pinned to the exception
+# class, path and message the parser gave before its schema became one table.
+SINGLE_ERRORS = [
+    ("unknown-$", ("extra",), 1, SchemaError, "$.extra", "unknown field"),
+    ("unknown-base-point", ("base_points", 0, "extra"), 1,
+     SchemaError, "$.base_points[0].extra", "unknown field"),
+    ("unknown-space", ("moduli", 0, "extra"), 1,
+     SchemaError, "$.moduli[0].extra", "unknown field"),
+    ("unknown-critical-point", ("moduli", 0, "critical_points", 0, "extra"), 1,
+     SchemaError, "$.moduli[0].critical_points[0].extra", "unknown field"),
+    ("unknown-factor", ("moduli", 0, "boundary"), [[{"source": "a", "target": "b", "extra": 1}]],
+     SchemaError, "$.moduli[0].boundary[0][0].extra", "unknown field"),
+    ("missing-$-name", ("name",), DROP, SchemaError, "$", "missing field 'name'"),
+    ("missing-$-max_level", ("max_level",), DROP, SchemaError, "$", "missing field 'max_level'"),
+    ("missing-$-base_points", ("base_points",), DROP,
+     SchemaError, "$", "missing field 'base_points'"),
+    ("missing-$-moduli", ("moduli",), DROP, SchemaError, "$", "missing field 'moduli'"),
+    ("missing-base-point-id", ("base_points", 0, "id"), DROP,
+     SchemaError, "$.base_points[0]", "missing field 'id'"),
+    ("missing-base-point-index", ("base_points", 0, "index"), DROP,
+     SchemaError, "$.base_points[0]", "missing field 'index'"),
+    ("missing-space-level", ("moduli", 0, "level"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'level'"),
+    ("missing-space-source", ("moduli", 0, "source"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'source'"),
+    ("missing-space-target", ("moduli", 0, "target"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'target'"),
+    ("missing-space-dim", ("moduli", 0, "dim"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'dim'"),
+    ("missing-space-components", ("moduli", 0, "components"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'components'"),
+    ("missing-space-critical_points", ("moduli", 0, "critical_points"), DROP,
+     SchemaError, "$.moduli[0]", "missing field 'critical_points'"),
+    ("missing-critical-point-id", ("moduli", 0, "critical_points", 0, "id"), DROP,
+     SchemaError, "$.moduli[0].critical_points[0]", "missing field 'id'"),
+    ("missing-critical-point-index", ("moduli", 0, "critical_points", 0, "index"), DROP,
+     SchemaError, "$.moduli[0].critical_points[0]", "missing field 'index'"),
+    ("missing-critical-point-component", ("moduli", 0, "critical_points", 0, "component"), DROP,
+     SchemaError, "$.moduli[0].critical_points[0]", "missing field 'component'"),
+    ("missing-factor-source", ("moduli", 0, "boundary"), [[{"target": "b"}]],
+     SchemaError, "$.moduli[0].boundary[0][0]", "missing field 'source'"),
+    ("missing-factor-target", ("moduli", 0, "boundary"), [[{"source": "a"}]],
+     SchemaError, "$.moduli[0].boundary[0][0]", "missing field 'target'"),
+    ("type-$", (), [], SchemaError, "$", "expected an object, got []"),
+    ("type-name", ("name",), 5, SchemaError, "$.name", "expected a string, got 5"),
+    ("type-max_level-string", ("max_level",), "1",
+     SchemaError, "$.max_level", "expected an integer, got '1'"),
+    ("type-max_level-bool", ("max_level",), True,
+     SchemaError, "$.max_level", "expected an integer, got True"),
+    ("type-base_points", ("base_points",), {},
+     SchemaError, "$.base_points", "expected an array, got {}"),
+    ("type-moduli", ("moduli",), "x", SchemaError, "$.moduli", "expected an array, got 'x'"),
+    ("type-base-point", ("base_points", 0), "a",
+     SchemaError, "$.base_points[0]", "expected an object, got 'a'"),
+    ("type-base-point-id", ("base_points", 0, "id"), 1,
+     SchemaError, "$.base_points[0].id", "expected a string, got 1"),
+    ("type-base-point-index", ("base_points", 0, "index"), 1.0,
+     SchemaError, "$.base_points[0].index", "expected an integer, got 1.0"),
+    ("type-space", ("moduli", 0), 3, SchemaError, "$.moduli[0]", "expected an object, got 3"),
+    ("type-space-level", ("moduli", 0, "level"), "1",
+     SchemaError, "$.moduli[0].level", "expected an integer, got '1'"),
+    ("type-space-source", ("moduli", 0, "source"), 1,
+     SchemaError, "$.moduli[0].source", "expected a string, got 1"),
+    ("type-space-target", ("moduli", 0, "target"), None,
+     SchemaError, "$.moduli[0].target", "expected a string, got None"),
+    ("type-space-dim", ("moduli", 0, "dim"), False,
+     SchemaError, "$.moduli[0].dim", "expected an integer, got False"),
+    ("type-space-components", ("moduli", 0, "components"), "d",
+     SchemaError, "$.moduli[0].components", "expected an array, got 'd'"),
+    ("type-space-component", ("moduli", 0, "components", 1), 3,
+     SchemaError, "$.moduli[0].components[1]", "expected a string"),
+    ("type-critical-point", ("moduli", 0, "critical_points", 0), "x",
+     SchemaError, "$.moduli[0].critical_points[0]", "expected an object, got 'x'"),
+    ("type-critical-point-id", ("moduli", 0, "critical_points", 0, "id"), ["ab_d"],
+     SchemaError, "$.moduli[0].critical_points[0].id", "expected a string, got ['ab_d']"),
+    ("type-critical-point-index", ("moduli", 0, "critical_points", 0, "index"), "0",
+     SchemaError, "$.moduli[0].critical_points[0].index", "expected an integer, got '0'"),
+    ("type-factor", ("moduli", 0, "boundary"), [[5]],
+     SchemaError, "$.moduli[0].boundary[0][0]", "expected an object, got 5"),
+    ("boundary-chain-empty", ("moduli", 0, "boundary"), [[]],
+     SchemaError, "$.moduli[0].boundary[0]", "expected a non-empty array of factors"),
+    ("boundary-chain-not-array", ("moduli", 0, "boundary"), [{"source": "a", "target": "b"}],
+     SchemaError, "$.moduli[0].boundary[0]", "expected a non-empty array of factors"),
+    ("negative-base-point-index", ("base_points", 0, "index"), -1,
+     SchemaError, "$.base_points[0].index", "must be non-negative"),
+    ("negative-critical-point-index", ("moduli", 0, "critical_points", 1, "index"), -1,
+     SchemaError, "$.moduli[0].critical_points[1].index", "must be non-negative"),
+    ("negative-max_level", ("max_level",), -1, SchemaError, "$.max_level", "must be non-negative"),
+    ("level-zero", ("moduli", 0, "level"), 0,
+     SchemaError, "$.moduli[0].level", "must be between 1 and max_level=1"),
+    ("level-above-max", ("moduli", 0, "level"), 2,
+     SchemaError, "$.moduli[0].level", "must be between 1 and max_level=1"),
+    ("duplicate-base-point", ("base_points", 2), {"id": "a", "index": 0},
+     DuplicateId, "$.base_points[2]", "duplicate id 'a'"),
+    ("duplicate-critical-point", ("moduli", 0, "critical_points", 1, "id"), "ab_d",
+     DuplicateId, "$.moduli[0].critical_points[1]", "duplicate id 'ab_d'"),
+    ("critical-point-names-base-point", ("moduli", 0, "critical_points", 0, "id"), "b",
+     DuplicateId, "$.moduli[0].critical_points[0]", "duplicate id 'b'"),
+    ("duplicate-space", ("moduli", 1), dict(doc()["moduli"][0], critical_points=[]),
+     DuplicateId, "$.moduli[1]", "duplicate id 'a->b'"),
+    ("duplicate-component", ("moduli", 0, "components", 1), "d",
+     DuplicateId, "$.moduli[0].components[1]", "duplicate id 'd'"),
+    ("unknown-source", ("moduli", 0, "source"), "nowhere",
+     UnknownId, "$.moduli[0].source", "unknown id 'nowhere'"),
+    ("unknown-target", ("moduli", 0, "target"), "nowhere",
+     UnknownId, "$.moduli[0].target", "unknown id 'nowhere'"),
+    ("unknown-factor-source", ("moduli", 0, "boundary"), [[{"source": "ghost", "target": "b"}]],
+     UnknownId, "$.moduli[0].boundary[0][0].source", "unknown id 'ghost'"),
+    ("unknown-factor-target", ("moduli", 0, "boundary"), [[{"source": "a", "target": "ghost"}]],
+     UnknownId, "$.moduli[0].boundary[0][0].target", "unknown id 'ghost'"),
+    ("empty-components", ("moduli", 0, "components"), [],
+     SchemaError, "$.moduli[0].components", "must be non-empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, cls, where, reason",
+    [row[1:] for row in SINGLE_ERRORS],
+    ids=[row[0] for row in SINGLE_ERRORS],
+)
+def test_single_error_documents_keep_their_report(path, value, cls, where, reason):
+    with pytest.raises(NCatError) as e:
+        parse(mutant(path, value))
+    assert (type(e.value), e.value.path, str(e.value)) == (cls, where, f"{where}: {reason}")
+
+
+@pytest.mark.parametrize(
+    "path, value, where, reason",
+    [
+        (("moduli", 0, "critical_points"), 5,
+         "$.moduli[0].critical_points", "expected an array, got 5"),
+        (("moduli", 0, "critical_points"), {},
+         "$.moduli[0].critical_points", "expected an array, got {}"),
+        (("moduli", 0, "boundary"), 5, "$.moduli[0].boundary", "expected an array, got 5"),
+        (("moduli", 0, "boundary"), None, "$.moduli[0].boundary", "expected an array, got None"),
+        (("moduli", 0, "boundary"), {}, "$.moduli[0].boundary", "expected an array, got {}"),
+        (("moduli", 0, "boundary"), [[{"source": ["a"], "target": "b"}]],
+         "$.moduli[0].boundary[0][0].source", "expected a string, got ['a']"),
+        (("moduli", 0, "boundary"), [[{"source": "a", "target": 5}]],
+         "$.moduli[0].boundary[0][0].target", "expected a string, got 5"),
+        (("moduli", 0, "critical_points", 0, "component"), 5,
+         "$.moduli[0].critical_points[0].component", "expected a string, got 5"),
+    ],
+    ids=[
+        "critical_points-number", "critical_points-object", "boundary-number", "boundary-null",
+        "boundary-object", "factor-source-array", "factor-target-number", "component-number",
+    ],
+)
+def test_every_field_is_type_checked(path, value, where, reason):
+    with pytest.raises(SchemaError) as e:
+        parse(mutant(path, value))
+    assert (e.value.path, e.value.reason) == (where, reason)
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"name": ' + "1" * 5000 + "}"], ids=["deep", "long-integer"]
+)
+def test_unreadable_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError) as e:
+        parse_flow_data(text)
+    assert e.value.path == "$"
+    assert e.value.reason.startswith("invalid JSON: ")
