@@ -192,8 +192,12 @@ class _Law:
         return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
 
 
+_MISSING = object()
+
+
 class _Run:
-    """One checking run: sampled cells per level plus memoized pair lists."""
+    """One checking run: sampled cells per level, memoized pair lists and
+    one composition table."""
 
     def __init__(self, cat, seed, samples, levels):
         if samples < 0:
@@ -212,17 +216,46 @@ class _Run:
                 cells = [cells[i] for i in keep]
             self.cells[l] = cells
         self._pairs = {}
+        self.unwalked = {}  # (l, p) -> [(cell, NCatError)] left out of pairs(l, p)
+        self._table = {}  # (p, a, c) -> the composite, or the NCatError it raised
+        self._interned = {}  # cell -> the one equal cell the table holds
 
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
-        sample, keyed on normalized chains."""
+        sample, keyed on normalized chains.  A cell whose chain walk raises
+        is left out and listed in unwalked[l, p]."""
         if (l, p) not in self._pairs:
             cat = self.cat
-            steps = (cat.source, cat.target)
-            chain = lambda cell, depth, side: _chain(cat, cell, steps[side], l - depth)
-            cells = self.cells[l]
-            self._pairs[l, p] = list(islice(composable_pairs(chain, p, cells, cells), self.cap))
+            cells, keys, self.unwalked[l, p] = [], [], []
+            for x in self.cells[l]:
+                try:
+                    keys.append([_chain(cat, x, step, l - p) for step in (cat.source, cat.target)])
+                except NCatError as e:
+                    self.unwalked[l, p].append((x, e))
+                else:
+                    cells.append(x)
+            ids = range(len(cells))
+            index = composable_pairs(lambda i, _, side: keys[i][side], p, ids, ids)
+            self._pairs[l, p] = [(cells[i], cells[j]) for i, j in islice(index, self.cap)]
         return self._pairs[l, p]
+
+    def compose(self, p, a, c):
+        """cat.compose(p, a, c), computed once per run: a repeat returns the
+        stored composite or re-raises the stored NCatError."""
+        out = self._table.get((p, a, c), _MISSING)
+        if out is _MISSING:
+            intern = self._interned.setdefault
+            a, c = intern(a, a), intern(c, c)
+            try:
+                out = self.cat.compose(p, a, c)
+            except NCatError as e:
+                out = e
+            else:
+                out = intern(out, out)
+            self._table[p, a, c] = out
+        if isinstance(out, NCatError):
+            raise out.with_traceback(None)
+        return out
 
 
 def check_globularity(cat, levels=None) -> AxiomReport:
@@ -247,6 +280,15 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     A level with more than ``samples`` cells is subsampled with the given
     seed; everything else is deterministic in cell order, and the
     ``samples`` cap also bounds each law's instances per level and depth.
+
+    The run keeps one composition table: each distinct (p, a, c) is
+    composed once, and every later law instance that needs it reads the
+    stored composite or re-raises the stored ``NCatError``, recording its
+    own witness.  So ``cat.compose`` must be deterministic in the values of
+    its arguments: equal arguments give an equal composite, or raise an
+    error with the same message.  A cell whose chain walk (``source``,
+    ``target``, ``normalize``) raises while the pair lists are built is one
+    comp-st witness and takes part in no pair at that level and depth.
     """
     run = _Run(cat, seed, samples, levels)
     cat_n = cat.max_level
@@ -266,17 +308,20 @@ def _comp_st(run) -> AxiomEntry:
     law = _Law("comp-st", cat)
     for l in run.levels:
         for p in range(l):
-            for a, c in run.pairs(l, p):
+            pairs = run.pairs(l, p)
+            for x, e in run.unwalked[l, p]:
+                law.fail(f"l={l} p={p} x={cat.render(x)}: raised {e}")
+            for a, c in pairs:
                 ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
-                ac = law.eval(ctx, lambda: cat.compose(p, a, c))
+                ac = law.eval(ctx, lambda: run.compose(p, a, c))
                 if ac is None:
                     continue
                 law.checked += 1
                 if p == l - 1:
                     want_s, want_t = (lambda: cat.source(a)), (lambda: cat.target(c))
                 else:
-                    want_s = lambda: cat.compose(p, cat.source(a), cat.source(c))
-                    want_t = lambda: cat.compose(p, cat.target(a), cat.target(c))
+                    want_s = lambda: run.compose(p, cat.source(a), cat.source(c))
+                    want_t = lambda: run.compose(p, cat.target(a), cat.target(c))
                 law.eval(ctx, lambda: law.expect(ctx, cat.source(ac), want_s(), "s(CoA)={} != {}"))
                 law.eval(ctx, lambda: law.expect(ctx, cat.target(ac), want_t(), "t(CoA)={} != {}"))
     return law.entry()
@@ -312,8 +357,8 @@ def _assoc(run) -> AxiomEntry:
                 )
                 law.expect(
                     ctx,
-                    law.eval(ctx, lambda: cat.compose(p, cat.compose(p, a, c), e)),
-                    law.eval(ctx, lambda: cat.compose(p, a, cat.compose(p, c, e))),
+                    law.eval(ctx, lambda: run.compose(p, run.compose(p, a, c), e)),
+                    law.eval(ctx, lambda: run.compose(p, a, run.compose(p, c, e))),
                 )
     return law.entry()
 
@@ -337,8 +382,8 @@ def _unit(run) -> AxiomEntry:
                 k = l - p
                 law.checked += 1
                 ctx = lambda: f"l={l} p={p} A={cat.render(a)}"
-                lhs = law.eval(ctx, lambda: cat.compose(p, a, _tower(cat, a, cat.target, k)))
-                rhs = law.eval(ctx, lambda: cat.compose(p, _tower(cat, a, cat.source, k), a))
+                lhs = law.eval(ctx, lambda: run.compose(p, a, _tower(cat, a, cat.target, k)))
+                rhs = law.eval(ctx, lambda: run.compose(p, _tower(cat, a, cat.source, k), a))
                 law.expect(ctx, lhs, a, "1-tower o_p A = {} != A")
                 law.expect(ctx, rhs, a, "A o_p 1-tower = {} != A")
     return law.entry()
@@ -369,10 +414,10 @@ def _binary_interchange(run) -> AxiomEntry:
                     law.expect(
                         ctx,
                         law.eval(
-                            ctx, lambda: cat.compose(q, cat.compose(p, a, c), cat.compose(p, e, h))
+                            ctx, lambda: run.compose(q, run.compose(p, a, c), run.compose(p, e, h))
                         ),
                         law.eval(
-                            ctx, lambda: cat.compose(p, cat.compose(q, a, e), cat.compose(q, c, h))
+                            ctx, lambda: run.compose(p, run.compose(q, a, e), run.compose(q, c, h))
                         ),
                     )
     return law.entry()
@@ -390,7 +435,7 @@ def _nullary_interchange(run, cat_n) -> AxiomEntry:
                 ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
                 law.expect(
                     ctx,
-                    law.eval(ctx, lambda: cat.compose(p, cat.identity(a), cat.identity(c))),
-                    law.eval(ctx, lambda: cat.identity(cat.compose(p, a, c))),
+                    law.eval(ctx, lambda: run.compose(p, cat.identity(a), cat.identity(c))),
+                    law.eval(ctx, lambda: cat.identity(run.compose(p, a, c))),
                 )
     return law.entry()

@@ -92,15 +92,27 @@ _SPACE = {"level": int, "source": str, "target": str, "dim": int,
 _FACTOR = {"source": str, "target": str}
 
 
+def _text(value, path):
+    """A string must be encodable as UTF-8: JSON's \\u escapes can spell a
+    lone surrogate, which a UTF-8 output stream cannot write."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise SchemaError(
+            path, f"lone surrogate U+{ord(value[e.start]):04X} at character {e.start}"
+        ) from None
+
+
 def _object(value, path, fields, optional=()):
     """The values of ``fields`` (name -> type) in order, once ``value`` is
     an object with no unknown field, no missing required field and every
-    field of its declared type (a bool is not an integer).  An absent
-    optional field reads as []."""
+    field of its declared type (a bool is not an integer; a string holds
+    no lone surrogate).  An absent optional field reads as []."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {value!r}")
     for key in value:
         if key not in fields:
+            _text(key, path)
             raise SchemaError(f"{path}.{key}", "unknown field")
     for key in fields:
         if key not in value and key not in optional:
@@ -109,6 +121,8 @@ def _object(value, path, fields, optional=()):
     for (key, kind), v in zip(fields.items(), values):
         if isinstance(v, bool) or not isinstance(v, kind):
             raise SchemaError(f"{path}.{key}", f"expected {_KINDS[kind]}, got {v!r}")
+        if kind is str:
+            _text(v, f"{path}.{key}")
     return values
 
 
@@ -156,6 +170,7 @@ def parse_flow_data(text: str) -> FlowData:
         for m, comp in enumerate(raw_components):
             if not isinstance(comp, str):
                 raise SchemaError(f"{path}.components[{m}]", "expected a string")
+            _text(comp, f"{path}.components[{m}]")
             if comp in components:
                 raise DuplicateId(f"{path}.components[{m}]", comp)
             components.append(comp)

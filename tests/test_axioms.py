@@ -1,5 +1,7 @@
 """The axiom engine: green on the strict categories, loud on broken ones."""
 
+from collections import Counter
+
 import pytest
 
 from ncat.axioms import (
@@ -320,3 +322,94 @@ def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
 def test_negative_samples_are_invalid_arguments():
     with pytest.raises(InvalidArguments):
         check_axioms(WCategory(max_level=1, bound=2), samples=-1)
+
+
+def test_raising_chain_walk_is_a_comp_st_witness():
+    # target raises on every level-1 cell, so no level-1 cell has a depth-0
+    # t-chain and no level-2 cell a depth-0 chain: each is one comp-st
+    # witness, left out of that pair list; (2, 1) keeps its pairs
+    report = check_axioms(TargetRaises(max_level=2, bound=2))
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == {
+        "comp-st": (9, 15), "id-st": (10, 3), "assoc": (10, 0), "unit": (23, 15),
+        "binary-interchange": (0, 0), "nullary-interchange": (0, 0),
+    }
+    details = [f.detail for f in report.entry("comp-st").failures]
+    raised = ": raised no targets of level-1 cells"
+    assert details[0] == "l=1 p=0 x=(0, [0 ; 0])" + raised
+    assert details[7] == "l=2 p=0 x=(0, [0 0 ; 0 0])" + raised
+    assert [d.split(" x=")[0] for d in details] == ["l=1 p=0"] * 7 + ["l=2 p=0"] * 8
+
+
+class CountsComposites:
+    """Counts each cat.compose call by its arguments."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.composed = Counter()
+
+    def compose(self, p, a, c):
+        self.composed[p, a, c] += 1
+        return super().compose(p, a, c)
+
+
+class CountingComposeW(CountsComposites, WCategory):
+    pass
+
+
+class CountingComposeV(CountsComposites, VCategory):
+    pass
+
+
+@pytest.mark.parametrize(
+    "counting, plain, level, bound, samples",
+    [
+        (CountingComposeW, WCategory, 3, 3, 10**9),
+        (CountingComposeV, VCategory, 3, 2, 10**9),
+        (CountingComposeW, WCategory, 4, 7, 300),
+    ],
+    ids=["w33", "v32", "w47-sampled"],
+)
+def test_each_composite_is_computed_once(counting, plain, level, bound, samples):
+    cat = counting(max_level=level, bound=bound)
+    report = check_axioms(cat, samples=samples)
+    assert cat.composed and set(cat.composed.values()) == {1}
+    want = check_axioms(plain(max_level=level, bound=bound), samples=samples)
+    assert report.to_dict() == want.to_dict()
+
+
+class OnePairRaises(WCategory):
+    """Deliberately broken: one pair of level-2 cells does not compose."""
+
+    PAIR = (WCell(0, ((2, 1), (3, 0))), WCell(0, ((1, 0), (3, 0))))
+
+    def compose(self, p, a, c):
+        if (a, c) == self.PAIR:
+            raise NotComposable(p, "this pair is broken")
+        return w_compose(p, a, c)
+
+
+BROKEN_PAIR = ": raised not composable at p=1: this pair is broken"
+ONE_PAIR_RAISES = {
+    "comp-st": (100, 1, "l=2 p=1 A=(0, [2 3 ; 1 0]) C=(0, [1 3 ; 0 0])" + BROKEN_PAIR),
+    "id-st": (18, 0, None),
+    "assoc": (
+        165, 6, "l=2 p=1 A=(0, [2 3 ; 1 0]) C=(0, [1 3 ; 0 0]) E=(0, [0 3 ; 0 0])" + BROKEN_PAIR
+    ),
+    "unit": (54, 0, None),
+    "binary-interchange": (
+        60, 4, "l=2 p=1 q=0 A=(0, [0 3 ; 0 3]) C=(0, [0 3 ; 0 3]) "
+        "E=(0, [2 3 ; 1 0]) H=(0, [1 3 ; 0 0])" + BROKEN_PAIR
+    ),
+    "nullary-interchange": (30, 0, None),
+}
+
+
+def test_cached_errors_give_every_instance_its_witness():
+    # the pair is composed once per run, yet each instance using it records
+    # its own witness: the same ones an engine composing on every use gives
+    report = check_axioms(OnePairRaises(max_level=2, bound=3))
+    got = {
+        e.axiom: (e.checked, len(e.failures), e.failures[0].detail if e.failures else None)
+        for e in report.entries
+    }
+    assert got == ONE_PAIR_RAISES

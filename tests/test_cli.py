@@ -270,3 +270,11 @@ def test_negative_counts_are_usage_errors(torus_file, args):
     assert out.stdout == ""
     assert "non-negative integer" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lone_surrogate_is_exit_two(tmp_path, fmt):
+    content = '{"name": "\\ud800", "max_level": 0, "base_points": [], "moduli": []}'
+    out = run("validate", _document_file(tmp_path, content), "--format", fmt)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "ncat: SchemaError: $.name: lone surrogate U+D800 at character 0\n"

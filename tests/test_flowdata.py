@@ -404,3 +404,35 @@ def test_unreadable_json_is_a_schema_error(text):
         parse_flow_data(text)
     assert e.value.path == "$"
     assert e.value.reason.startswith("invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("name",), "x\ud800", "$.name"),
+        (("base_points", 0, "id"), "x\ud800", "$.base_points[0].id"),
+        (("moduli", 0, "source"), "x\udbff", "$.moduli[0].source"),
+        (("moduli", 0, "components", 1), "x\udc00", "$.moduli[0].components[1]"),
+        (("moduli", 0, "critical_points", 0, "component"), "x\ud800",
+         "$.moduli[0].critical_points[0].component"),
+        (("moduli", 0, "boundary"), [[{"source": "a", "target": "b\udfff"}]],
+         "$.moduli[0].boundary[0][0].target"),
+        (("moduli", 0, "x\ud800"), 1, "$.moduli[0]"),
+    ],
+    ids=[
+        "name", "base-point-id", "source", "component", "point-component", "factor-target",
+        "unknown-key",
+    ],
+)
+def test_lone_surrogates_are_schema_errors(path, value, where):
+    with pytest.raises(SchemaError) as e:
+        parse(mutant(path, value))
+    assert e.value.path == where
+    assert e.value.reason.startswith("lone surrogate U+D")
+    assert e.value.reason.endswith(" at character 1")
+    str(e.value).encode("utf-8")  # the message itself is writable
+
+
+def test_surrogate_pairs_still_parse():
+    fd = parse_flow_data(json.dumps(doc(name="pair \U0001d53b")))
+    assert fd.name == "pair \U0001d53b"
