@@ -168,7 +168,10 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
 
     The result always satisfies the cell constraints again: above any
     non-degenerate level both strict bounds add, and a degenerate level
-    forces both summands above it to be 0.
+    forces both summands above it to be 0.  So the cell is built
+    directly, after one plain pass over its entries: only cells that
+    were invalid to begin with (a broken category's composites, say) can
+    fail it, and those go through w_make for its error.
     """
     _check_composable(p, q, r)
     l = q.level
@@ -180,7 +183,21 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     ]
     spine.append((q.spine[top][0], r.spine[top][1]))
     spine.extend(q.spine[top + 1 :])
-    return w_make(head, spine)
+    if not _valid(head, spine):
+        return w_make(head, spine)  # raises, naming the violated constraint
+    return WCell(head, tuple(spine))
+
+
+def _valid(head, spine) -> bool:
+    """w_make's constraints as a predicate, integer entries only."""
+    above = head
+    for i, j in spine:
+        if type(i) is not int or type(j) is not int or not 0 <= j <= i:
+            return False
+        if (above != 0) if i == j else (above >= i - j):
+            return False
+        above = i
+    return type(head) is int and head >= 0
 
 
 def w_enumerate(level: int, bound: int) -> list:

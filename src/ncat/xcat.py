@@ -11,6 +11,14 @@ top-down, recording which moduli space tower the point lives over.  The
 category is almost strict: the laws hold after normalizing labels with a
 small confluent rewrite system (see normalize).
 
+Every label X builds is normal by construction: enumerated cells carry
+atoms and diagonals of atoms, and x_compose glues two normal labels with
+glue, which rewrites the concatenated pieces without normalizing either
+half again.  That gives normalize's result because normal parts hold no
+gluings and normalize is idempotent.  Labels and cells cache their value
+hash on first use, and XCategory.normalize remembers each cell's normal
+form, so a law check pays for each distinct cell once.
+
 x_cells enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
 cell one level down whose home component is a single point — registered
@@ -34,6 +42,7 @@ __all__ = [
     "Seq",
     "Label",
     "normalize",
+    "glue",
     "point_like",
     "label_key",
     "XCell",
@@ -49,24 +58,54 @@ __all__ = [
 ]
 
 
+class _Hashed:
+    """The slot where a label or cell keeps its value hash.  It stays unset
+    until the first hash(), so building a value costs nothing extra."""
+
+    __slots__ = ("_h",)
+
+
+def _hash_once(cls):
+    """Cache the dataclass value hash in the ``_h`` slot on the first
+    hash().  It is the value the generated __hash__ gives (the hash of the
+    compared fields), so sets and dicts iterate in the same order as
+    without the cache.  _h is not a dataclass field, so equality, repr and
+    pickling never see it: no hash travels to another process, where str
+    hashes differ."""
+    value_hash = cls.__hash__
+
+    def __hash__(self):
+        h = getattr(self, "_h", None)
+        if h is None:
+            h = value_hash(self)
+            object.__setattr__(self, "_h", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(_Hashed):
     id: str
 
     def __str__(self) -> str:
         return self.id
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Pt:
+class Pt(_Hashed):
     of: "Label"
 
     def __str__(self) -> str:
         return f"pt({self.of})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Seq:
+class Seq(_Hashed):
     parts: "tuple[Label, ...]"
 
     def __post_init__(self):
@@ -119,6 +158,12 @@ def normalize(x, fd: "FlowData | None" = None):
     composing cells over a document the system is confluent; the pipeline
     below applies the rules in one fixed order and reaches the same form
     as any other exhaustive strategy (tested with randomized rewriting).
+
+    It runs in two steps: normalize the parts and flatten them (1), then
+    rewrite the flat list of normal pieces with (2)-(4) (_rewrite).
+    x_compose skips the first step: its labels are already normal, so it
+    hands their pieces straight to the second (glue).  Normal parts hold
+    no gluings and normalize is idempotent, so that is the same result.
     """
     if isinstance(x, Atom):
         return x
@@ -127,8 +172,24 @@ def normalize(x, fd: "FlowData | None" = None):
     # (1) flatten; normal parts hold no gluings, so one level is enough
     parts = []
     for p in x.parts:
-        n = normalize(p, fd)
-        parts.extend(n.parts) if isinstance(n, Seq) else parts.append(n)
+        parts.extend(_pieces(normalize(p, fd)))
+    return _rewrite(parts, fd)
+
+
+def glue(u, v, fd: "FlowData | None" = None):
+    """normalize(Seq((u, v)), fd) for labels u and v that are already
+    normal: their pieces are concatenated and rewritten, and neither half
+    is normalized again."""
+    return _rewrite(_pieces(u) + _pieces(v), fd)
+
+
+def _pieces(x) -> list:
+    """The pieces a normal label contributes to a gluing."""
+    return list(x.parts) if isinstance(x, Seq) else [x]
+
+
+def _rewrite(parts: list, fd):
+    """(2)-(4) on a flat list of normal pieces; the label they glue to."""
     parts = _collapse(parts, fd)
     # (2) absorb diagonal pieces when a real piece remains; dropping them
     # can bring equal point-like blocks together, so (4) runs once more
@@ -137,8 +198,9 @@ def normalize(x, fd: "FlowData | None" = None):
     if len(parts) == 1:
         return parts[0]
     if all(isinstance(p, Pt) for p in parts):
-        # (3); the collapse above already removed equal neighbours
-        return Pt(normalize(Seq(tuple(p.of for p in parts)), fd))
+        # (3); the collapse above already removed equal neighbours, and the
+        # diagonals' labels are normal, so their pieces are rewritten directly
+        return Pt(_rewrite([q for p in parts for q in _pieces(p.of)], fd))
     return Seq(tuple(parts))
 
 
@@ -157,8 +219,9 @@ def _collapse(parts: list, fd) -> list:
     return parts
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class XCell:
+class XCell(_Hashed):
     """head label over a top-down spine of (source, target) label pairs."""
 
     head: "Atom | Pt | Seq"
@@ -220,19 +283,18 @@ def x_composable(p: int, a: XCell, c: XCell) -> bool:
 
 def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
     """The glued cell ``c o_p a``: labels above depth p pair up and
-    normalize, the pair at p splices, everything below is shared."""
+    glue, the pair at p splices, everything below is shared.
+
+    The cells' labels are taken to be normal, as every cell X builds has
+    them; the composite's labels are normal again."""
     if not x_composable(p, a, c):
         sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
         raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
     l = a.level
     top = l - 1 - p
-
-    def glue(u, v):
-        return normalize(Seq((u, v)), fd)
-
-    head = glue(a.head, c.head)
+    head = glue(a.head, c.head, fd)
     spine = [
-        (glue(a.spine[k][0], c.spine[k][0]), glue(a.spine[k][1], c.spine[k][1]))
+        (glue(a.spine[k][0], c.spine[k][0], fd), glue(a.spine[k][1], c.spine[k][1], fd))
         for k in range(top)
     ]
     spine.append((a.spine[top][0], c.spine[top][1]))
@@ -320,7 +382,8 @@ class XCategory:
     include_composites=True, cells() also carries every composite, which
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
-    out copies so callers cannot change the cache."""
+    out copies so callers cannot change the cache.  normalize() computes
+    each distinct cell's normal form once per instance."""
 
     name = "x"
 
@@ -329,6 +392,7 @@ class XCategory:
         self.max_level = fd.max_level
         self.include_composites = include_composites
         self._cells = {}
+        self._normal = {}
 
     def cells(self, level: int) -> list:
         if level not in self._cells:
@@ -358,8 +422,14 @@ class XCategory:
         return x_compose(self.fd, p, a, c)
 
     def normalize(self, cell):
-        n = lambda lab: normalize(lab, self.fd)
-        return XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
+        out = self._normal.get(cell)
+        if out is None:
+            n = lambda lab: normalize(lab, self.fd)
+            out = XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
+            if out == cell:  # keep one copy of a cell that is already normal
+                out = cell
+            self._normal[cell] = out
+        return out
 
     def render(self, cell) -> str:
         return x_render(cell)

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own construction code
 paths: enumeration is a filter over the raw integer product, composability
 is checked by walking sources/targets, and the X closure is the plain
 all-pairs fixpoint over single compositions, so agreement with the
-library is evidence rather than tautology.
+library is evidence rather than tautology.  reference_normalize is the
+label normal form as it was before gluing learned to skip normal halves:
+it normalizes every part of every label it is given, from scratch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from ncat.xcat import XCell, x_cells, x_compose, x_source, x_target
+from ncat.xcat import (
+    Atom,
+    Pt,
+    Seq,
+    XCell,
+    point_like,
+    x_cells,
+    x_composable,
+    x_compose,
+    x_source,
+    x_target,
+)
 
 
 def ok_wtuple(head, pairs) -> bool:
@@ -194,3 +207,56 @@ def naive_closure(fd, level: int) -> list:
         if new <= pool:
             return cells
         pool |= new
+
+
+def reference_normalize(x, fd=None):
+    """Flatten the normalized parts, collapse repeated point-like blocks,
+    drop diagonal pieces beside real ones and collapse again, and fuse a
+    gluing of diagonals into the diagonal of the normalized gluing."""
+    if isinstance(x, Atom):
+        return x
+    if isinstance(x, Pt):
+        return Pt(reference_normalize(x.of, fd))
+    parts = []
+    for p in x.parts:
+        n = reference_normalize(p, fd)
+        parts.extend(n.parts) if isinstance(n, Seq) else parts.append(n)
+    parts = _reference_collapse(parts, fd)
+    if any(isinstance(p, Pt) for p in parts) and not all(isinstance(p, Pt) for p in parts):
+        parts = _reference_collapse([p for p in parts if not isinstance(p, Pt)], fd)
+    if len(parts) == 1:
+        return parts[0]
+    if all(isinstance(p, Pt) for p in parts):
+        return Pt(reference_normalize(Seq(tuple(p.of for p in parts)), fd))
+    return Seq(tuple(parts))
+
+
+def _reference_collapse(parts: list, fd) -> list:
+    k = 1
+    while 2 * k <= len(parts):
+        for i in range(len(parts) - 2 * k + 1):
+            block = parts[i : i + k]
+            if parts[i + k : i + 2 * k] == block and all(point_like(p, fd) for p in block):
+                del parts[i + k : i + 2 * k]
+                k = 0
+                break
+        k += 1
+    return parts
+
+
+def reference_compose(fd, p: int, a, c):
+    """c o_p a with every glued label normalized from scratch."""
+    if not x_composable(p, a, c):
+        return x_compose(fd, p, a, c)  # raises NotComposable with its message
+    top = a.level - 1 - p
+
+    def glue(u, v):
+        return reference_normalize(Seq((u, v)), fd)
+
+    spine = [
+        (glue(a.spine[k][0], c.spine[k][0]), glue(a.spine[k][1], c.spine[k][1]))
+        for k in range(top)
+    ]
+    spine.append((a.spine[top][0], c.spine[top][1]))
+    spine.extend(a.spine[top + 1 :])
+    return XCell(glue(a.head, c.head), tuple(spine))

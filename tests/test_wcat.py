@@ -19,7 +19,7 @@ from ncat.wcat import (
     w_target,
 )
 
-from oracles import brute_wcells, random_composable_wpair, random_wcell
+from oracles import brute_wcells, ok_wtuple, random_composable_wpair, random_wcell
 
 
 def cell(head, spine):
@@ -268,3 +268,46 @@ def test_prop_random_composable_pairs_compose(seed, level):
     a, c = w_make(ha, sa), w_make(hc, sc)
     out = w_compose(p, a, c)  # closure: construction re-validates
     assert out.level == level
+
+
+def assert_valid_composite(p, a, c):
+    # valid although w_compose no longer goes through w_make, and the
+    # composite of the comp-st law: inner's depth-p source, outer's target
+    out = w_compose(p, a, c)
+    assert ok_wtuple(out.head, out.spine)
+    assert out == w_make(out.head, out.spine)
+    assert out.level == a.level
+    s_out, s_a, t_out, t_c = out, a, out, c
+    for _ in range(a.level - p):
+        s_out, s_a = w_source(s_out), w_source(s_a)
+        t_out, t_c = w_target(t_out), w_target(t_c)
+    assert s_out == s_a and t_out == t_c
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=300)
+def test_prop_composites_are_valid_by_construction(seed, level):
+    rng = random.Random(seed)
+    p = rng.randint(0, level - 1)
+    (ha, sa), (hc, sc) = random_composable_wpair(rng, level, p, 4)
+    assert_valid_composite(p, w_make(ha, sa), w_make(hc, sc))
+
+
+def test_every_composable_pair_of_w33_composes_to_a_valid_cell():
+    composed = 0  # 198 pairs over levels 1-3, by the brute-force oracle
+    for level in range(1, 4):
+        cells = w_enumerate(level, 3)
+        for p in range(level):
+            for a in cells:
+                for c in cells:
+                    if w_composable(p, a, c):
+                        assert_valid_composite(p, a, c)
+                        composed += 1
+    assert composed == 198
+
+
+def test_composing_invalid_cells_still_names_the_constraint():
+    # only cells that were never valid give an invalid composite
+    a = WCell(1, ((0, 0),))  # a degenerate pair needs 0 above it
+    with pytest.raises(ConstraintViolation, match="entry above a degenerate pair"):
+        w_compose(0, a, cell(0, [(0, 0)]))

@@ -7,12 +7,19 @@ result must always equal normalize()'s.
 """
 
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncat.xcat as xcat
+from ncat.axioms import check_axioms, check_globularity
 from ncat.errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from ncat.flowdata import parse_flow_data, validate_flow_data
 from ncat.functors import check_functor_laws
@@ -23,6 +30,7 @@ from ncat.xcat import (
     Seq,
     XCategory,
     XCell,
+    glue,
     label_key,
     normalize,
     point_like,
@@ -36,7 +44,13 @@ from ncat.xcat import (
     x_target,
 )
 
-from oracles import chain_closure_counts, chain_document, naive_closure
+from oracles import (
+    chain_closure_counts,
+    chain_document,
+    naive_closure,
+    reference_compose,
+    reference_normalize,
+)
 
 FD = torus_flow_data()
 
@@ -235,6 +249,157 @@ def test_prop_normalize_is_idempotent(label):
 def test_prop_normalize_reaches_a_rewrite_normal_form(label):
     # whatever normalize returns, no raw rewrite applies to it anymore
     assert rewrite_options(normalize(label, FD), FD) == []
+
+
+# ----------------------------------- gluing normal labels, and the oracle
+
+@pytest.mark.parametrize("fd", [FD, chain_fd(3, 2), chain_fd(4, 3)], ids=["torus", "chain-3-2", "chain-4-3"])
+def test_glue_matches_reference_normalize(fd):
+    labels = ARISING if fd is FD else arising_labels(fd)
+    for label in labels:
+        u, v = label.parts
+        assert glue(u, v, fd) == reference_normalize(label, fd)
+
+
+TREE_IDS = ["w", "x", "wx_d", "xz_d", "wz_max_dd", "wz_min_dd"]
+
+
+@given(label_trees(TREE_IDS), st.sampled_from([FD, None]))
+@settings(max_examples=300)
+def test_prop_normalize_matches_reference(label, fd):
+    assert normalize(label, fd) == reference_normalize(label, fd)
+
+
+@given(label_trees(TREE_IDS), label_trees(TREE_IDS), st.sampled_from([FD, None]))
+@example(Atom("wx_d"), Atom("wx_d"), FD)  # (4) on two atoms
+@example(Pt(Atom("wx_d")), Pt(Atom("xz_d")), FD)  # (3)
+@example(Pt(Atom("w")), Atom("wx_d"), None)  # (2)
+@settings(max_examples=300)
+def test_prop_glue_of_normal_labels_matches_reference(u, v, fd):
+    assert glue(normalize(u, fd), normalize(v, fd), fd) == reference_normalize(Seq((u, v)), fd)
+
+
+# ------------------------------------------------------ cached label hashes
+
+BUILT = {  # kind -> (a fresh value each call, its compared fields)
+    "atom": (lambda: Atom("wx_d"), lambda x: (x.id,)),
+    "pt": (lambda: Pt(seq(atom("wx_d"), atom("xz_d"))), lambda x: (x.of,)),
+    "seq": (lambda: seq(atom("wx_d"), Pt(atom("x")), atom("xz_s")), lambda x: (x.parts,)),
+    "xcell": (
+        lambda: XCell(seq(atom("wx_d"), atom("xz_d")), ((Atom("w"), Atom("z")),)),
+        lambda x: (x.head, x.spine),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILT))
+def test_cached_hash_is_the_value_hash(kind):
+    build, compared = BUILT[kind]
+    x = build()
+    assert hash(x) == hash(compared(x))
+    assert hash(x) == hash(compared(x))  # the second call reads the cache
+
+
+@pytest.mark.parametrize("kind", sorted(BUILT))
+def test_equal_labels_built_apart_stay_equal(kind):
+    build, _ = BUILT[kind]
+    a, b = build(), build()
+    assert a is not b and a == b  # neither hashed
+    hash(a)
+    assert a == b and b == a  # one hashed
+    assert hash(b) == hash(a) and len({a, b}) == 1  # both hashed
+    c = build()
+    assert c == a and {a: 1}[c] == 1  # a fresh one finds a hashed one
+
+
+UNPICKLE_ELSEWHERE = """
+import pickle, sys
+for x, fields in pickle.loads(sys.stdin.buffer.read()):
+    assert hash(x) == hash(fields), x
+"""
+
+
+def test_labels_pickled_after_hashing_hash_by_value_elsewhere():
+    # str hashes differ between processes, so a cached hash must not travel
+    values = []
+    for build, compared in BUILT.values():
+        x = build()
+        hash(x)
+        values.append((x, compared(x)))
+    data = pickle.dumps(values)
+    assert pickle.loads(data) == values
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", UNPICKLE_ELSEWHERE], input=data,
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr.decode()
+
+
+def test_repr_is_unchanged_by_the_hash_cache():
+    a = Atom("a")
+    hash(a)
+    assert repr(a) == repr(Atom("a")) == "Atom(id='a')"
+    assert repr(Pt(a)) == "Pt(of=Atom(id='a'))"
+    assert repr(seq(a, atom("b"))) == "Seq(parts=(Atom(id='a'), Atom(id='b')))"
+    assert repr(XCell(a, ())) == "XCell(head=Atom(id='a'), spine=())"
+
+
+def test_seq_still_needs_two_parts():
+    for parts in ((), (atom("a"),)):
+        with pytest.raises(InvalidArguments):
+            Seq(parts)
+
+
+# ------------------------------------------- normal forms computed once
+
+class RecordingX(XCategory):
+    """Records every cell the axiom engine hands to normalize."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.handed = []
+
+    def normalize(self, cell):
+        self.handed.append(cell)
+        return super().normalize(cell)
+
+
+class ReferenceX(XCategory):
+    """Composes and normalizes through reference_normalize, which
+    normalizes every label from scratch on every call."""
+
+    def compose(self, p, a, c):
+        return reference_compose(self.fd, p, a, c)
+
+    def normalize(self, cell):
+        n = lambda lab: reference_normalize(lab, self.fd)
+        return XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
+
+
+def test_each_cell_is_normalized_once(monkeypatch):
+    real = xcat.normalize
+    calls = Counter()  # top-level normalize calls, by label
+    depth = [0]
+
+    def counting(x, fd=None):
+        if not depth[0]:
+            calls[x] += 1
+        depth[0] += 1
+        try:
+            return real(x, fd)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(xcat, "normalize", counting)
+    cat = RecordingX(FD, include_composites=True)
+    report = check_globularity(cat).merged(check_axioms(cat))
+    monkeypatch.undo()
+    distinct = set(cat.handed)
+    assert len(cat.handed) > 2 * len(distinct)  # cells come back, and are looked up
+    labels = lambda c: [c.head] + [lab for pair in c.spine for lab in pair]
+    assert calls == Counter(lab for c in distinct for lab in labels(c))
+    ref = ReferenceX(FD, include_composites=True)
+    assert report.to_dict() == check_globularity(ref).merged(check_axioms(ref)).to_dict()
 
 
 # ------------------------------------------------------------ cell algebra
