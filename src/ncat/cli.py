@@ -24,7 +24,7 @@ from .functors import functor_f, functor_g, ind_env
 from .torus import torus_document, torus_expected, torus_flow_data
 from .vcat import VCategory, v_render
 from .wcat import WCategory, w_render
-from .xcat import XCategory, x_cells, x_render
+from .xcat import XCategory, x_render
 
 SCHEMA_VERSION = 1
 ENUM_BOUND = 3  # entry bound behind `axioms --category w|v`
@@ -99,12 +99,13 @@ def cmd_build(args) -> int:
     fd = _load_valid(args, {"command": "build"})
     if fd is None:
         return 1
+    x = XCategory(fd)
     top = min(args.level, fd.max_level)
-    levels = {l: x_cells(fd, l) for l in range(top + 1)}
+    levels = {l: [x_render(c) for c in x.cells(l)] for l in range(top + 1)}
     lines = [f"flow data: {fd.name} (levels 0..{top})"]
     for l, cells in levels.items():
         lines.append(f"level {l}: {len(cells)} cells")
-        lines.extend(f"  {x_render(c)}" for c in cells)
+        lines.extend(f"  {c}" for c in cells)
     if args.level > fd.max_level:
         lines.append(f"note: no cells above level {fd.max_level}")
     _emit(
@@ -112,7 +113,7 @@ def cmd_build(args) -> int:
             "command": "build",
             "name": fd.name,
             "counts": {str(l): len(cells) for l, cells in levels.items()},
-            "cells": {str(l): [x_render(c) for c in cells] for l, cells in levels.items()},
+            "cells": {str(l): cells for l, cells in levels.items()},
         },
         args,
         lines,
@@ -165,11 +166,12 @@ def cmd_functor(args) -> int:
     env = ind_env(fd)
     apply = functor_g if args.target == "g" else functor_f
     render = w_render if args.target == "g" else v_render
+    x = XCategory(fd)
     top = min(args.level, fd.max_level)
     rows = []
     failures = []
     for l in range(top + 1):
-        for cell in x_cells(fd, l):
+        for cell in x.cells(l):
             try:
                 rows.append((x_render(cell), render(apply(cell, env))))
             except FlowDataInconsistent as e:
@@ -198,11 +200,10 @@ def cmd_torus(args) -> int:
     fd = torus_flow_data()
     exp = torus_expected()
     env = ind_env(fd)
-    counts = {l: len(x_cells(fd, l)) for l in range(fd.max_level + 1)}
-    table = {}
-    for l in range(fd.max_level + 1):
-        for cell in x_cells(fd, l):
-            table[x_render(cell)] = w_render(functor_g(cell, env))
+    x = XCategory(fd)
+    levels = [x.cells(l) for l in range(fd.max_level + 1)]
+    counts = {l: len(cells) for l, cells in enumerate(levels)}
+    table = {x_render(c): w_render(functor_g(c, env)) for cells in levels for c in cells}
     problems = []
     if counts != exp.counts:
         problems.append(f"cell counts {counts} != expected {exp.counts}")
@@ -214,11 +215,7 @@ def cmd_torus(args) -> int:
         if cell not in exp.g_table:
             problems.append(f"unexpected cell {cell}")
 
-    lines = [
-        fd.name
-        + " cell counts: "
-        + ", ".join(f"|X({l})| = {n}" for l, n in counts.items())
-    ]
+    lines = [f"{fd.name} cell counts: " + ", ".join(f"|X({l})| = {n}" for l, n in counts.items())]
     lines.append("G images:")
     lines.extend(f"  {cell} -> {img}" for cell, img in table.items())
     lines.extend(f"MISMATCH  {p}" for p in problems)

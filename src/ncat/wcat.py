@@ -80,8 +80,10 @@ def w_make(head: int, spine) -> WCell:
     _as_entry(head, "head")
     for pos, (i, j) in enumerate(pairs):
         k = level - 1 - pos  # the level this pair sits at
-        _as_entry(i, f"i_{k}")
-        _as_entry(j, f"j_{k}")
+        if not (type(i) is type(j) is int and i >= 0 and j >= 0):
+            # the full check names the entry, so its label is formatted only here
+            _as_entry(i, f"i_{k}")
+            _as_entry(j, f"j_{k}")
         if j > i:
             raise ConstraintViolation(f"j_{k}={j} exceeds i_{k}={i}", level=k)
         above = head if pos == 0 else pairs[pos - 1][0]

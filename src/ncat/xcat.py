@@ -19,12 +19,13 @@ gluings and normalize is idempotent.  Labels and cells cache their value
 hash on first use, and XCategory.normalize remembers each cell's normal
 form, so a law check pays for each distinct cell once.
 
-x_cells enumerates a level: the registered points of every declared
+XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
 cell one level down whose home component is a single point — registered
 points on positive-dimensional spaces and base points get no diagonal
 cell.  Composites (Seq-headed cells) are only enumerated on request,
-by closing under composition.
+by closing under composition.  Each instance builds a level, and its
+closure, once, from its cached level below; x_cells reads a new one.
 """
 
 from __future__ import annotations
@@ -320,33 +321,8 @@ def _spine_of(fd: FlowData, space) -> tuple:
 
 
 def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
-    """All cells at the given level, sorted.  Above the document's
-    max_level there are none (the diagonal tower is not materialized);
-    a warning says so."""
-    if level < 0:
-        raise InvalidArguments("level must be non-negative")
-    if level > fd.max_level:
-        warnings.warn(
-            f"no cells above level {fd.max_level} in {fd.name!r}", stacklevel=2
-        )
-        return []
-    if level == 0:
-        cells = _base_cells(fd)
-    else:
-        cells = [
-            XCell(Atom(pid), _spine_of(fd, sp))
-            for sp in sorted(fd.spaces_at_level(level), key=lambda s: s.key)
-            for pid in sorted(sp.points)
-        ]
-        cells += [  # the diagonal over a one-point home component
-            x_identity(b)
-            for b in x_cells(fd, level - 1)
-            if point_like(b.head, fd)
-        ]
-        cells.sort(key=XCell.key)
-    if include_composites:
-        cells = _close_under_composition(fd, level, cells)
-    return cells
+    """XCategory(fd, include_composites).cells(level)."""
+    return XCategory(fd, include_composites).cells(level)
 
 
 def _close_under_composition(fd: FlowData, level: int, cells: list) -> list:
@@ -395,9 +371,35 @@ class XCategory:
         self._normal = {}
 
     def cells(self, level: int) -> list:
-        if level not in self._cells:
-            self._cells[level] = x_cells(self.fd, level, self.include_composites)
-        return list(self._cells[level])
+        """All cells at the given level, sorted.  Above max_level there are
+        none (the diagonal tower is not materialized); a warning says so."""
+        if level < 0:
+            raise InvalidArguments("level must be non-negative")
+        if level > self.max_level:
+            warnings.warn(f"no cells above level {self.max_level} in {self.fd.name!r}", stacklevel=2)
+            return []
+        return list(self._level(level, self.include_composites))
+
+    def _level(self, level: int, closed: bool) -> list:
+        """Plain level l, built from plain level l - 1, or its closure; cached."""
+        key = (level, closed)
+        if key not in self._cells:
+            fd = self.fd
+            if closed:
+                cells = _close_under_composition(fd, level, self._level(level, False))
+            elif level == 0:
+                cells = _base_cells(fd)
+            else:
+                cells = [
+                    XCell(Atom(pid), _spine_of(fd, sp))
+                    for sp in sorted(fd.spaces_at_level(level), key=lambda s: s.key)
+                    for pid in sorted(sp.points)
+                ]
+                below = self._level(level - 1, False)  # diagonals over one-point homes
+                cells += [x_identity(b) for b in below if point_like(b.head, fd)]
+                cells.sort(key=XCell.key)
+            self._cells[key] = cells
+        return self._cells[key]
 
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""

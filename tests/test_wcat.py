@@ -65,6 +65,33 @@ def test_make_rejects_negatives_and_nonints():
         cell(0, [])
 
 
+@pytest.mark.parametrize(
+    "make,message,level",
+    [
+        (lambda: w_make(1.5, [(3, 0)]), "head must be an integer, got 1.5", None),
+        (lambda: w_make(0, [(True, 0)]), "i_0 must be an integer, got True", None),
+        (lambda: w_make(0, [(0, 0), (-1, 0)]), "i_0 must be non-negative, got -1", None),
+        (lambda: w_make(0, [(2, "1"), (3, 1)]), "j_1 must be an integer, got '1'", None),
+        (lambda: w_make(0, [(1, 2)]), "level 0: j_0=2 exceeds i_0=1", 0),
+        (
+            lambda: w_make(0, [(2, 0), (1, 1)]),
+            "level 0: entry above a degenerate pair (i_0=j_0=1) must be 0, got 2",
+            0,
+        ),
+        (lambda: w_make(1, [(2, 1)]), "level 0: entry above level 0 must be < i_0-j_0=1, got 1", 0),
+        (lambda: w_make(0, []), "spine must be non-empty; level-0 cells are bare integers", None),
+        (lambda: w_identity(-1), "cell must be non-negative, got -1", None),
+    ],
+    ids=["head", "bool", "negative-i", "non-int-j", "j-above-i", "degenerate", "bound",
+         "empty-spine", "identity-of-negative"],
+)
+def test_make_error_text(make, message, level):
+    with pytest.raises(ConstraintViolation) as e:
+        make()
+    assert str(e.value) == message
+    assert e.value.level == level
+
+
 # ------------------------------------------------------- source / target
 
 def test_source_target_level_one_are_bare_ints():

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 import ncat.xcat as xcat
 from ncat.axioms import check_axioms, check_globularity
+from ncat.cli import main as cli_main
 from ncat.errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
-from ncat.flowdata import parse_flow_data, validate_flow_data
+from ncat.flowdata import FlowData, parse_flow_data, validate_flow_data
 from ncat.functors import check_functor_laws
-from ncat.torus import torus_flow_data
+from ncat.torus import torus_document, torus_flow_data
 from ncat.xcat import (
     Atom,
     Pt,
@@ -562,6 +563,49 @@ def test_category_closes_once_and_hands_out_copies():
     for l in range(1, 3):
         for p in range(l):
             assert cat.pairs(l, p) == x_composable_pairs(fd, l, p, include_composites=True)
+
+
+def count_level_builds(monkeypatch) -> Counter:
+    """Count plain-level builds per level: level 0 starts from
+    _base_cells, every higher level from the document's spaces at it."""
+    builds = Counter()
+    base, spaces = xcat._base_cells, FlowData.spaces_at_level
+
+    def counted_base(fd):
+        builds[0] += 1
+        return base(fd)
+
+    def counted_spaces(fd, level):
+        builds[level] += 1
+        return spaces(fd, level)
+
+    monkeypatch.setattr(xcat, "_base_cells", counted_base)
+    monkeypatch.setattr(FlowData, "spaces_at_level", counted_spaces)
+    return builds
+
+
+def test_category_builds_each_plain_level_once(monkeypatch):
+    builds = count_level_builds(monkeypatch)
+    cat = XCategory(FD, include_composites=True)
+    check_globularity(cat).merged(check_axioms(cat))
+    for l in range(1, FD.max_level + 1):
+        for p in range(l):
+            cat.pairs(l, p)
+    assert builds == {l: 1 for l in range(FD.max_level + 1)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "{file}"], ["functor", "{file}", "--target", "g"], ["torus"]],
+    ids=["build", "functor-g", "torus"],
+)
+def test_cli_builds_each_plain_level_once(argv, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(torus_document()))
+    builds = count_level_builds(monkeypatch)
+    assert cli_main([a.format(file=path) for a in argv]) == 0
+    assert builds == {l: 1 for l in range(FD.max_level + 1)}
+    assert capsys.readouterr().out
 
 
 def test_level_two_space_over_a_base_point_is_inconsistent():
