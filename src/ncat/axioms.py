@@ -192,12 +192,53 @@ class _Law:
         return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
 
 
-_MISSING = object()
+class _Ids(dict):
+    """Dense cell ids: ids[x] is the id of cell x, a new one unless an equal
+    cell has one, and ids.cell[i] is the cell with id i."""
+
+    def __init__(self):
+        super().__init__()
+        self.cell = []
+
+    def __missing__(self, x):
+        i = self[x] = len(self.cell)
+        self.cell.append(x)
+        return i
+
+
+def _memo(call, ids):
+    """key -> ids[call(key)], calling call once per distinct key: a repeat
+    reads the stored id or re-raises the stored NCatError."""
+    table = {}
+
+    def lookup(key):
+        out = table.get(key)
+        if out is None:
+            try:
+                out = ids[call(key)]
+            except NCatError as e:
+                out = e
+            table[key] = out
+        if out.__class__ is int:
+            return out
+        raise out.with_traceback(None)
+
+    return lookup
 
 
 class _Run:
-    """One checking run: sampled cells per level, memoized pair lists and
-    one composition table."""
+    """One checking run on dense cell ids.
+
+    Every cell the laws touch is interned once to a dense int id, and
+    ``cell[i]`` is the cell with id i.  The sampled cells of each level
+    (``sample``), the memoized pair lists and every law instance hold ids,
+    and a cell is rendered from ``cell[i]`` only for a witness.  Five
+    tables hold the id of what a category call returned, or the
+    ``NCatError`` it raised: ``compose`` is keyed (p, a, c), and
+    ``source``, ``target``, ``identity`` and ``normalize`` are keyed by id.
+    So each is called once per distinct argument, and a stored error is
+    re-raised, letting every instance that needs it record its own witness.
+    """
 
     def __init__(self, cat, seed, samples, levels):
         if samples < 0:
@@ -207,55 +248,70 @@ class _Run:
         if levels is None:
             levels = range(cat.max_level + 1)
         self.levels = list(levels)
+        # the tables see ids and cell, never self: a run is freed without the cycle collector
+        ids = _Ids()
+        cell = self.cell = ids.cell
+        self.source = _memo(lambda i: cat.source(cell[i]), ids)
+        self.target = _memo(lambda i: cat.target(cell[i]), ids)
+        self.identity = _memo(lambda i: cat.identity(cell[i]), ids)
+        self.normalize = _memo(lambda i: cat.normalize(cell[i]), ids)
+        self._compose = _memo(lambda key: cat.compose(key[0], cell[key[1]], cell[key[2]]), ids)
         rng = random.Random(seed)
-        self.cells = {}
+        self.sample = {}
         for l in self.levels:
             cells = list(cat.cells(l))
             if len(cells) > samples:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
-            self.cells[l] = cells
+            self.sample[l] = [ids[x] for x in cells]
         self._pairs = {}
-        self.unwalked = {}  # (l, p) -> [(cell, NCatError)] left out of pairs(l, p)
-        self._table = {}  # (p, a, c) -> the composite, or the NCatError it raised
-        self._interned = {}  # cell -> the one equal cell the table holds
+        self.unwalked = {}  # (l, p) -> [(id, NCatError)] left out of pairs(l, p)
+
+    def compose(self, p: int, a: int, c: int) -> int:
+        return self._compose((p, a, c))
+
+    def render(self, i: int) -> str:
+        return self.cat.render(self.cell[i])
+
+    def chain(self, i: int, step, k: int) -> int:
+        """The normalized k-step chain of cell i under step (source or target)."""
+        for _ in range(k):
+            i = step(i)
+        return self.normalize(i)
+
+    def tower(self, i: int, step, k: int) -> int:
+        """The k-fold identity on the normalized k-step chain of cell i."""
+        i = self.chain(i, step, k)
+        for _ in range(k):
+            i = self.identity(i)
+        return i
+
+    def same(self, i: int, j: int) -> bool:
+        return i == j or self.normalize(i) == self.normalize(j)
+
+    def expect(self, law, ctx, lhs, rhs, shape: str = "{} != {}") -> None:
+        """law.expect on two side ids: equal ids, or ids that normalize to
+        one id, pass without a look at the cells."""
+        if lhs is None or rhs is None or self.same(lhs, rhs):
+            return
+        law.expect(ctx, self.cell[lhs], self.cell[rhs], shape)
 
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
         sample, keyed on normalized chains.  A cell whose chain walk raises
         is left out and listed in unwalked[l, p]."""
         if (l, p) not in self._pairs:
-            cat = self.cat
-            cells, keys, self.unwalked[l, p] = [], [], []
-            for x in self.cells[l]:
+            walked, keys, self.unwalked[l, p] = [], {}, []
+            for x in self.sample[l]:
                 try:
-                    keys.append([_chain(cat, x, step, l - p) for step in (cat.source, cat.target)])
+                    keys[x] = [self.chain(x, step, l - p) for step in (self.source, self.target)]
                 except NCatError as e:
                     self.unwalked[l, p].append((x, e))
                 else:
-                    cells.append(x)
-            ids = range(len(cells))
-            index = composable_pairs(lambda i, _, side: keys[i][side], p, ids, ids)
-            self._pairs[l, p] = [(cells[i], cells[j]) for i, j in islice(index, self.cap)]
+                    walked.append(x)
+            index = composable_pairs(lambda x, _, side: keys[x][side], p, walked, walked)
+            self._pairs[l, p] = list(islice(index, self.cap))
         return self._pairs[l, p]
-
-    def compose(self, p, a, c):
-        """cat.compose(p, a, c), computed once per run: a repeat returns the
-        stored composite or re-raises the stored NCatError."""
-        out = self._table.get((p, a, c), _MISSING)
-        if out is _MISSING:
-            intern = self._interned.setdefault
-            a, c = intern(a, a), intern(c, c)
-            try:
-                out = self.cat.compose(p, a, c)
-            except NCatError as e:
-                out = e
-            else:
-                out = intern(out, out)
-            self._table[p, a, c] = out
-        if isinstance(out, NCatError):
-            raise out.with_traceback(None)
-        return out
 
 
 def check_globularity(cat, levels=None) -> AxiomReport:
@@ -281,14 +337,19 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     seed; everything else is deterministic in cell order, and the
     ``samples`` cap also bounds each law's instances per level and depth.
 
-    The run keeps one composition table: each distinct (p, a, c) is
-    composed once, and every later law instance that needs it reads the
-    stored composite or re-raises the stored ``NCatError``, recording its
-    own witness.  So ``cat.compose`` must be deterministic in the values of
-    its arguments: equal arguments give an equal composite, or raise an
-    error with the same message.  A cell whose chain walk (``source``,
-    ``target``, ``normalize``) raises while the pair lists are built is one
-    comp-st witness and takes part in no pair at that level and depth.
+    The run gives every cell it meets a dense id and keeps one table per
+    category call: each distinct (p, a, c) is composed once, and each
+    distinct cell is handed to ``source``, ``target``, ``identity`` and
+    ``normalize`` once.  Every later law instance that needs a result reads
+    the stored one or re-raises the stored ``NCatError``, recording its own
+    witness.  So ``cat.compose``, ``cat.source``, ``cat.target``,
+    ``cat.identity`` and ``cat.normalize`` must be deterministic in the
+    values of their arguments: equal arguments give an equal result, or
+    raise an error with the same message.  Two sides that are equal cells
+    are equal without a call to ``normalize``.  A cell whose chain walk
+    (``source``, ``target``, ``normalize``) raises while the pair lists are
+    built is one comp-st witness and takes part in no pair at that level
+    and depth.
     """
     run = _Run(cat, seed, samples, levels)
     cat_n = cat.max_level
@@ -304,47 +365,50 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
 
 
 def _comp_st(run) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("comp-st", cat)
+    law = _Law("comp-st", run.cat)
+    render = run.render
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
             for x, e in run.unwalked[l, p]:
-                law.fail(f"l={l} p={p} x={cat.render(x)}: raised {e}")
+                law.fail(f"l={l} p={p} x={render(x)}: raised {e}")
             for a, c in pairs:
-                ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
+                ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)}"
                 ac = law.eval(ctx, lambda: run.compose(p, a, c))
                 if ac is None:
                     continue
                 law.checked += 1
                 if p == l - 1:
-                    want_s, want_t = (lambda: cat.source(a)), (lambda: cat.target(c))
+                    want_s, want_t = (lambda: run.source(a)), (lambda: run.target(c))
                 else:
-                    want_s = lambda: run.compose(p, cat.source(a), cat.source(c))
-                    want_t = lambda: run.compose(p, cat.target(a), cat.target(c))
-                law.eval(ctx, lambda: law.expect(ctx, cat.source(ac), want_s(), "s(CoA)={} != {}"))
-                law.eval(ctx, lambda: law.expect(ctx, cat.target(ac), want_t(), "t(CoA)={} != {}"))
+                    want_s = lambda: run.compose(p, run.source(a), run.source(c))
+                    want_t = lambda: run.compose(p, run.target(a), run.target(c))
+                law.eval(
+                    ctx, lambda: run.expect(law, ctx, run.source(ac), want_s(), "s(CoA)={} != {}")
+                )
+                law.eval(
+                    ctx, lambda: run.expect(law, ctx, run.target(ac), want_t(), "t(CoA)={} != {}")
+                )
     return law.entry()
 
 
 def _id_st(run, cat_n) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("id-st", cat)
+    law = _Law("id-st", run.cat)
     for l in run.levels:
         if l >= cat_n:
             continue
-        for a in run.cells[l]:
+        for a in run.sample[l]:
             law.holds(
-                lambda: f"level {l}: A={cat.render(a)}",
-                lambda: law.same(cat.source(one := cat.identity(a)), a)
-                and law.same(cat.target(one), a),
+                lambda: f"level {l}: A={run.render(a)}",
+                lambda: run.same(run.source(one := run.identity(a)), a)
+                and run.same(run.target(one), a),
             )
     return law.entry()
 
 
 def _assoc(run) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("assoc", cat)
+    law = _Law("assoc", run.cat)
+    render = run.render
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
@@ -352,10 +416,9 @@ def _assoc(run) -> AxiomEntry:
             triples = ((a, c, e) for c, e in pairs for a in inners.get(c, ()))
             for a, c, e in islice(triples, run.cap):
                 law.checked += 1
-                ctx = lambda: (
-                    f"l={l} p={p} A={cat.render(a)} C={cat.render(c)} E={cat.render(e)}"
-                )
-                law.expect(
+                ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)} E={render(e)}"
+                run.expect(
+                    law,
                     ctx,
                     law.eval(ctx, lambda: run.compose(p, run.compose(p, a, c), e)),
                     law.eval(ctx, lambda: run.compose(p, a, run.compose(p, c, e))),
@@ -363,35 +426,26 @@ def _assoc(run) -> AxiomEntry:
     return law.entry()
 
 
-def _tower(cat, cell, step, k):
-    """The k-fold identity on the normalized k-step chain of the cell."""
-    cell = _chain(cat, cell, step, k)
-    for _ in range(k):
-        cell = cat.identity(cell)
-    return cell
-
-
 def _unit(run) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("unit", cat)
+    law = _Law("unit", run.cat)
     for l in run.levels:
         if l == 0:
             continue
-        for a in run.cells[l]:
+        for a in run.sample[l]:
             for p in range(l):
                 k = l - p
                 law.checked += 1
-                ctx = lambda: f"l={l} p={p} A={cat.render(a)}"
-                lhs = law.eval(ctx, lambda: run.compose(p, a, _tower(cat, a, cat.target, k)))
-                rhs = law.eval(ctx, lambda: run.compose(p, _tower(cat, a, cat.source, k), a))
-                law.expect(ctx, lhs, a, "1-tower o_p A = {} != A")
-                law.expect(ctx, rhs, a, "A o_p 1-tower = {} != A")
+                ctx = lambda: f"l={l} p={p} A={run.render(a)}"
+                lhs = law.eval(ctx, lambda: run.compose(p, a, run.tower(a, run.target, k)))
+                rhs = law.eval(ctx, lambda: run.compose(p, run.tower(a, run.source, k), a))
+                run.expect(law, ctx, lhs, a, "1-tower o_p A = {} != A")
+                run.expect(law, ctx, rhs, a, "A o_p 1-tower = {} != A")
     return law.entry()
 
 
 def _binary_interchange(run) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("binary-interchange", cat)
+    law = _Law("binary-interchange", run.cat)
+    render = run.render
     for l in run.levels:
         for p in range(1, l):
             pairs_p = run.pairs(l, p)
@@ -408,10 +462,11 @@ def _binary_interchange(run) -> AxiomEntry:
                 for a, c, e, h in islice(quads, run.cap):
                     law.checked += 1
                     ctx = lambda: (
-                        f"l={l} p={p} q={q} A={cat.render(a)} C={cat.render(c)} "
-                        f"E={cat.render(e)} H={cat.render(h)}"
+                        f"l={l} p={p} q={q} A={render(a)} C={render(c)} "
+                        f"E={render(e)} H={render(h)}"
                     )
-                    law.expect(
+                    run.expect(
+                        law,
                         ctx,
                         law.eval(
                             ctx, lambda: run.compose(q, run.compose(p, a, c), run.compose(p, e, h))
@@ -424,18 +479,19 @@ def _binary_interchange(run) -> AxiomEntry:
 
 
 def _nullary_interchange(run, cat_n) -> AxiomEntry:
-    cat = run.cat
-    law = _Law("nullary-interchange", cat)
+    law = _Law("nullary-interchange", run.cat)
+    render = run.render
     for l in run.levels:
         if l >= cat_n:
             continue
         for p in range(l):
             for a, c in run.pairs(l, p):
                 law.checked += 1
-                ctx = lambda: f"l={l} p={p} A={cat.render(a)} C={cat.render(c)}"
-                law.expect(
+                ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)}"
+                run.expect(
+                    law,
                     ctx,
-                    law.eval(ctx, lambda: run.compose(p, cat.identity(a), cat.identity(c))),
-                    law.eval(ctx, lambda: cat.identity(run.compose(p, a, c))),
+                    law.eval(ctx, lambda: run.compose(p, run.identity(a), run.identity(c))),
+                    law.eval(ctx, lambda: run.identity(run.compose(p, a, c))),
                 )
     return law.entry()

@@ -377,6 +377,84 @@ def test_each_composite_is_computed_once(counting, plain, level, bound, samples)
     assert report.to_dict() == want.to_dict()
 
 
+MAPS = ("source", "target", "identity", "normalize")
+
+
+class CountsMaps:
+    """Counts each call of a one-cell map (MAPS) by map and argument."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.handed = Counter()
+
+    def source(self, cell):
+        self.handed["source", cell] += 1
+        return super().source(cell)
+
+    def target(self, cell):
+        self.handed["target", cell] += 1
+        return super().target(cell)
+
+    def identity(self, cell):
+        self.handed["identity", cell] += 1
+        return super().identity(cell)
+
+    def normalize(self, cell):
+        self.handed["normalize", cell] += 1
+        return super().normalize(cell)
+
+
+class CountingMapsW(CountsMaps, WCategory):
+    pass
+
+
+class CountingMapsV(CountsMaps, VCategory):
+    pass
+
+
+@pytest.mark.parametrize(
+    "counting, plain, level, bound, samples",
+    [
+        (CountingMapsW, WCategory, 3, 3, 10**9),
+        (CountingMapsV, VCategory, 3, 2, 10**9),
+        (CountingMapsW, WCategory, 4, 7, 300),
+    ],
+    ids=["w33", "v32", "w47-sampled"],
+)
+def test_each_cell_is_handed_to_each_map_once(counting, plain, level, bound, samples):
+    cat = counting(max_level=level, bound=bound)
+    report = check_axioms(cat, samples=samples)
+    for name in MAPS:
+        calls = [n for (m, _), n in cat.handed.items() if m == name]
+        assert calls and max(calls) == 1, name
+    want = check_axioms(plain(max_level=level, bound=bound), samples=samples)
+    assert report.to_dict() == want.to_dict()
+
+
+class ForgetHead(HeavyCompose):
+    """HeavyCompose read up to heads: normalize sets the head to 0, so two
+    cells that differ only in their heads are equal."""
+
+    def normalize(self, cell):
+        return cell if isinstance(cell, int) else WCell(0, cell.spine)
+
+
+FORGET_HEAD_COUNTS = {
+    "globular-ss": (20, 0), "globular-ts": (20, 0), "comp-st": (101, 47), "id-st": (18, 0),
+    "assoc": (330, 586), "unit": (54, 15), "binary-interchange": (164, 328),
+    "nullary-interchange": (30, 30),
+}
+
+
+def test_sides_that_are_different_cells_are_still_normalized():
+    # the composites of HeavyCompose carry a wrong head; normalize forgets
+    # it, so unit fails 15 times here against 108 (HEAVY_COUNTS) for an
+    # engine that compared the cells without normalizing them
+    cat = ForgetHead(max_level=2, bound=3)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=200))
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == FORGET_HEAD_COUNTS
+
+
 class OnePairRaises(WCategory):
     """Deliberately broken: one pair of level-2 cells does not compose."""
 
