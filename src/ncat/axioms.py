@@ -5,10 +5,10 @@ source / target / identity / compose / normalize / render) so the same
 code exercises every category in the package.  It is a reporter: law
 failures are collected as witnesses, never raised, so one broken axiom
 cannot hide another.  An ``NCatError`` raised while evaluating a side of
-an equation is a witness too.  Every law, the functor laws of
-``check_functor_laws`` included, runs through one tally (``_Law``), which
-renders cells only when it records a witness; a passing run renders
-nothing.
+an equation is a witness too.  Every law, globularity and the functor
+laws of ``check_functor_laws`` included, runs through one run (``_Run``)
+on dense cell ids, and each law keeps its tally (``_Law``); a cell is
+rendered only for a witness, so a passing run renders nothing.
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -103,12 +103,6 @@ class AxiomReport:
         return {"entries": [e.to_dict() for e in self.entries], "passed": self.passed}
 
 
-def _chain(cat, cell, step, k):
-    for _ in range(k):
-        cell = step(cell)
-    return cat.normalize(cell)
-
-
 def composable(cat, p: int, a, c) -> bool:
     """True iff ``c o_p a`` is defined: the depth-p target chain of the
     inner cell meets the depth-p source chain of the outer one."""
@@ -117,8 +111,9 @@ def composable(cat, p: int, a, c) -> bool:
         raise InvalidArguments(f"levels differ: {la} vs {lc}")
     if not 0 <= p < la:
         raise InvalidArguments(f"depth p={p} out of range for level {la}")
+    run = _Run(cat, 0, None, ())
     k = la - p
-    return _chain(cat, a, cat.target, k) == _chain(cat, c, cat.source, k)
+    return run.chain(run.ids[a], run.target, k) == run.chain(run.ids[c], run.source, k)
 
 
 def composable_pairs(chain, p, inner, outer):
@@ -149,9 +144,8 @@ class _Law:
     recorded, so a passing run renders nothing.
     """
 
-    def __init__(self, axiom: str, cat):
+    def __init__(self, axiom: str):
         self.axiom = axiom
-        self.cat = cat
         self.checked = 0
         self.failures = []
 
@@ -165,22 +159,6 @@ class _Law:
         except NCatError as e:
             self.fail(f"{ctx()}: raised {e}")
             return None
-
-    def same(self, x, y) -> bool:
-        return self.cat.normalize(x) == self.cat.normalize(y)
-
-    def expect(self, ctx, lhs, rhs, shape: str = "{} != {}") -> None:
-        """Witness lhs != rhs, the rendered sides filling ``shape``.  A side
-        that is None already raised and was recorded by eval."""
-        if lhs is None or rhs is None or self.same(lhs, rhs):
-            return
-        render = self.cat.render
-        self.fail(f"{ctx()}: " + shape.format(render(lhs), render(rhs)))
-
-    def check(self, ctx, sides) -> None:
-        """One instance whose two sides sides() computes under one guard."""
-        self.checked += 1
-        self.eval(ctx, lambda: self.expect(ctx, *sides()))
 
     def holds(self, ctx, pred) -> None:
         """One instance that fails, with witness ctx(), unless pred() is true."""
@@ -229,27 +207,28 @@ def _memo(call, ids):
 class _Run:
     """One checking run on dense cell ids.
 
-    Every cell the laws touch is interned once to a dense int id, and
-    ``cell[i]`` is the cell with id i.  The sampled cells of each level
-    (``sample``), the memoized pair lists and every law instance hold ids,
-    and a cell is rendered from ``cell[i]`` only for a witness.  Five
-    tables hold the id of what a category call returned, or the
-    ``NCatError`` it raised: ``compose`` is keyed (p, a, c), and
+    Every cell the laws touch is interned once to a dense int id:
+    ``ids[x]`` is the id of cell x and ``cell[i]`` the cell with id i.  The
+    sampled cells of each level from ``low`` up (``sample``; every cell
+    when ``samples`` is None), the memoized pair lists and every law
+    instance hold ids, and a cell is rendered from ``cell[i]`` only for a
+    witness.  Five tables hold the id of what a category call returned, or
+    the ``NCatError`` it raised: ``compose`` is keyed (p, a, c), and
     ``source``, ``target``, ``identity`` and ``normalize`` are keyed by id.
     So each is called once per distinct argument, and a stored error is
     re-raised, letting every instance that needs it record its own witness.
     """
 
-    def __init__(self, cat, seed, samples, levels):
-        if samples < 0:
+    def __init__(self, cat, seed, samples, levels, low=0):
+        if samples is not None and samples < 0:
             raise InvalidArguments(f"samples must be non-negative, got {samples}")
         self.cat = cat
         self.cap = samples
         if levels is None:
             levels = range(cat.max_level + 1)
-        self.levels = list(levels)
+        self.levels = [l for l in levels if l >= low]
         # the tables see ids and cell, never self: a run is freed without the cycle collector
-        ids = _Ids()
+        ids = self.ids = _Ids()
         cell = self.cell = ids.cell
         self.source = _memo(lambda i: cat.source(cell[i]), ids)
         self.target = _memo(lambda i: cat.target(cell[i]), ids)
@@ -260,7 +239,7 @@ class _Run:
         self.sample = {}
         for l in self.levels:
             cells = list(cat.cells(l))
-            if len(cells) > samples:
+            if samples is not None and len(cells) > samples:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
             self.sample[l] = [ids[x] for x in cells]
@@ -290,11 +269,21 @@ class _Run:
         return i == j or self.normalize(i) == self.normalize(j)
 
     def expect(self, law, ctx, lhs, rhs, shape: str = "{} != {}") -> None:
-        """law.expect on two side ids: equal ids, or ids that normalize to
-        one id, pass without a look at the cells."""
-        if lhs is None or rhs is None or self.same(lhs, rhs):
+        """Witness that side ids lhs and rhs differ after normalize, the
+        rendered sides filling ``shape``.  A side that is None already
+        raised and was recorded; a normalize that raises is a witness too.
+        Equal ids, or ids that normalize to one id, pass without a look at
+        the cells."""
+        if lhs is None or rhs is None or lhs == rhs:
             return
-        law.expect(ctx, self.cell[lhs], self.cell[rhs], shape)
+        if law.eval(ctx, lambda: self.normalize(lhs) == self.normalize(rhs)) is not False:
+            return
+        law.fail(f"{ctx()}: " + shape.format(self.render(lhs), self.render(rhs)))
+
+    def check(self, law, ctx, sides) -> None:
+        """One instance whose two side ids sides() computes under one guard."""
+        law.checked += 1
+        law.eval(ctx, lambda: self.expect(law, ctx, *sides()))
 
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
@@ -316,16 +305,14 @@ class _Run:
 
 def check_globularity(cat, levels=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
-    if levels is None:
-        levels = range(cat.max_level + 1)
-    ss, ts = _Law("globular-ss", cat), _Law("globular-ts", cat)
-    for l in levels:
-        if l < 2:
-            continue
-        for x in cat.cells(l):
-            ctx = lambda: f"level {l}: x={cat.render(x)}"
-            ss.holds(ctx, lambda: ss.same(cat.source(cat.source(x)), cat.source(cat.target(x))))
-            ts.holds(ctx, lambda: ts.same(cat.target(cat.source(x)), cat.target(cat.target(x))))
+    run = _Run(cat, 0, None, levels, low=2)
+    s, t, render = run.source, run.target, run.render
+    ss, ts = _Law("globular-ss"), _Law("globular-ts")
+    for l in run.levels:
+        for x in run.sample[l]:
+            ctx = lambda: f"level {l}: x={render(x)}"
+            ss.holds(ctx, lambda: run.same(s(s(x)), s(t(x))))
+            ts.holds(ctx, lambda: run.same(t(s(x)), t(t(x))))
     return AxiomReport((ss.entry(), ts.entry()))
 
 
@@ -345,11 +332,15 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     witness.  So ``cat.compose``, ``cat.source``, ``cat.target``,
     ``cat.identity`` and ``cat.normalize`` must be deterministic in the
     values of their arguments: equal arguments give an equal result, or
-    raise an error with the same message.  Two sides that are equal cells
-    are equal without a call to ``normalize``.  A cell whose chain walk
-    (``source``, ``target``, ``normalize``) raises while the pair lists are
-    built is one comp-st witness and takes part in no pair at that level
-    and depth.
+    raise an error with the same message.  ``check_globularity`` and
+    ``check_functor_laws`` read the same kind of run, so the contract holds
+    there too, and ``check_functor_laws`` computes each distinct cell's
+    image once, so the functor must be deterministic per cell.  Two sides
+    that are equal cells are equal without a call to ``normalize``, and a
+    ``normalize`` that raises while two sides are compared is a witness of
+    that instance.  A cell whose chain walk (``source``, ``target``,
+    ``normalize``) raises while the pair lists are built is one comp-st
+    witness and takes part in no pair at that level and depth.
     """
     run = _Run(cat, seed, samples, levels)
     cat_n = cat.max_level
@@ -365,7 +356,7 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
 
 
 def _comp_st(run) -> AxiomEntry:
-    law = _Law("comp-st", run.cat)
+    law = _Law("comp-st")
     render = run.render
     for l in run.levels:
         for p in range(l):
@@ -393,7 +384,7 @@ def _comp_st(run) -> AxiomEntry:
 
 
 def _id_st(run, cat_n) -> AxiomEntry:
-    law = _Law("id-st", run.cat)
+    law = _Law("id-st")
     for l in run.levels:
         if l >= cat_n:
             continue
@@ -407,7 +398,7 @@ def _id_st(run, cat_n) -> AxiomEntry:
 
 
 def _assoc(run) -> AxiomEntry:
-    law = _Law("assoc", run.cat)
+    law = _Law("assoc")
     render = run.render
     for l in run.levels:
         for p in range(l):
@@ -427,7 +418,7 @@ def _assoc(run) -> AxiomEntry:
 
 
 def _unit(run) -> AxiomEntry:
-    law = _Law("unit", run.cat)
+    law = _Law("unit")
     for l in run.levels:
         if l == 0:
             continue
@@ -444,7 +435,7 @@ def _unit(run) -> AxiomEntry:
 
 
 def _binary_interchange(run) -> AxiomEntry:
-    law = _Law("binary-interchange", run.cat)
+    law = _Law("binary-interchange")
     render = run.render
     for l in run.levels:
         for p in range(1, l):
@@ -479,7 +470,7 @@ def _binary_interchange(run) -> AxiomEntry:
 
 
 def _nullary_interchange(run, cat_n) -> AxiomEntry:
-    law = _Law("nullary-interchange", run.cat)
+    law = _Law("nullary-interchange")
     render = run.render
     for l in run.levels:
         if l >= cat_n:

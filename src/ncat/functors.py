@@ -11,7 +11,7 @@ on the almost strict structure.
 
 from __future__ import annotations
 
-from .axioms import AxiomReport, _Law
+from .axioms import AxiomReport, _Law, _memo, _Run
 from .errors import ConstraintViolation, FlowDataInconsistent, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
@@ -73,8 +73,11 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     """Functoriality of G (or F) over the document's cells and all their
     composites, plus the head-index bound that makes the image land where
     it should: on a non-degenerate top pair, 0 <= ind(head) < ind(s) - ind(t);
-    on a degenerate one, ind(head) = 0.  The laws run through the axiom
-    engine's tally, with W (for G) or V (for F) as the receiving category.
+    on a degenerate one, ind(head) = 0.  The laws read one axiom-engine
+    run over W (for G) or V (for F), the receiving category:
+    each distinct cell's image is computed once, and its boundaries,
+    identity and composites in the receiving category are read from the
+    run's tables, so the functor must be deterministic per cell.
     """
     if target == "g":
         name, functor, tcat = "G", functor_g, WCategory()
@@ -84,30 +87,32 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
         raise ValueError(f"unknown functor target {target!r}")
     env = ind_env(fd)
     cat = XCategory(fd, include_composites=True)
+    run = _Run(tcat, 0, None, ())
+    image = _memo(lambda cell: functor(cell, env), run.ids)
     src, tgt, one, comp = (
-        _Law(f"functor-{target}-{law}", tcat) for law in ("source", "target", "identity", "compose")
+        _Law(f"functor-{target}-{law}") for law in ("source", "target", "identity", "compose")
     )
-    bound = _Law("index-bound", tcat)
-
-    def image(cell):
-        return functor(cell, env)
+    bound = _Law("index-bound")
 
     for l in range(fd.max_level + 1):
         for cell in cat.cells(l):
             if l < fd.max_level:
-                one.check(
+                run.check(
+                    one,
                     lambda: f"{name}(1({x_render(cell)}))",
-                    lambda: (image(cat.identity(cell)), tcat.identity(image(cell))),
+                    lambda: (image(cat.identity(cell)), run.identity(image(cell))),
                 )
             if l == 0:
                 continue
-            src.check(
+            run.check(
+                src,
                 lambda: f"{name}(s({x_render(cell)}))",
-                lambda: (image(cat.source(cell)), tcat.source(image(cell))),
+                lambda: (image(cat.source(cell)), run.source(image(cell))),
             )
-            tgt.check(
+            run.check(
+                tgt,
                 lambda: f"{name}(t({x_render(cell)}))",
-                lambda: (image(cat.target(cell)), tcat.target(image(cell))),
+                lambda: (image(cat.target(cell)), run.target(image(cell))),
             )
             bound.checked += 1
             s, t = cell.spine[0]
@@ -120,9 +125,10 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
                 bound.fail(f"{x_render(cell)}: ind(head)={head}, want {want}")
         for p in range(l):
             for a, c in cat.pairs(l, p):
-                comp.check(
+                run.check(
+                    comp,
                     lambda: f"{name}(C o_{p} A) for A={x_render(a)}, C={x_render(c)}",
-                    lambda: (image(cat.compose(p, a, c)), tcat.compose(p, image(a), image(c))),
+                    lambda: (image(cat.compose(p, a, c)), run.compose(p, image(a), image(c))),
                 )
 
     return AxiomReport(tuple(law.entry() for law in (src, tgt, one, comp, bound)))

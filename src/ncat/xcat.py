@@ -16,8 +16,7 @@ atoms and diagonals of atoms, and x_compose glues two normal labels with
 glue, which rewrites the concatenated pieces without normalizing either
 half again.  That gives normalize's result because normal parts hold no
 gluings and normalize is idempotent.  Labels and cells cache their value
-hash on first use, and XCategory.normalize remembers each cell's normal
-form, so a law check pays for each distinct cell once.
+hash on first use.
 
 XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
@@ -358,8 +357,7 @@ class XCategory:
     include_composites=True, cells() also carries every composite, which
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
-    out copies so callers cannot change the cache.  normalize() computes
-    each distinct cell's normal form once per instance."""
+    out copies so callers cannot change the cache."""
 
     name = "x"
 
@@ -368,7 +366,6 @@ class XCategory:
         self.max_level = fd.max_level
         self.include_composites = include_composites
         self._cells = {}
-        self._normal = {}
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -424,14 +421,8 @@ class XCategory:
         return x_compose(self.fd, p, a, c)
 
     def normalize(self, cell):
-        out = self._normal.get(cell)
-        if out is None:
-            n = lambda lab: normalize(lab, self.fd)
-            out = XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
-            if out == cell:  # keep one copy of a cell that is already normal
-                out = cell
-            self._normal[cell] = out
-        return out
+        n = lambda lab: normalize(lab, self.fd)
+        return XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
 
     def render(self, cell) -> str:
         return x_render(cell)

@@ -242,6 +242,29 @@ IDENTITY_FIRST = {
 }
 
 
+class NormalizeRaises(HeavyCompose):
+    """Deliberately broken: level-1 cells with head 1 have no normal form."""
+
+    def normalize(self, cell):
+        if self.level_of(cell) == 1 and cell.head == 1:
+            raise InvalidArguments("no normal form")
+        return super().normalize(cell)
+
+
+NO_NORMAL = ": raised no normal form"
+NORMALIZE_RAISES_COUNTS = {
+    "comp-st": (32, 30), "id-st": (10, 0), "assoc": (45, 78), "unit": (23, 46),
+    "binary-interchange": (10, 20), "nullary-interchange": (12, 12),
+}
+NORMALIZE_RAISES_FIRST = {
+    "comp-st": "l=2 p=0 A=(0, [0 0 ; 0 0]) C=(0, [0 0 ; 0 0])" + NO_NORMAL,
+    "assoc": HEAVY_FIRST["assoc"],
+    "unit": "l=1 p=0 A=(0, [0 ; 0])" + NO_NORMAL,
+    "binary-interchange": HEAVY_FIRST["binary-interchange"],
+    "nullary-interchange": HEAVY_FIRST["nullary-interchange"],
+}
+
+
 @pytest.mark.parametrize(
     "cls, counts, first",
     [
@@ -254,6 +277,13 @@ def test_raising_category_calls_are_witnesses(cls, counts, first):
     report = check_axioms(cls(max_level=2, bound=2))
     assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == counts
     assert {e.axiom: e.failures[0].detail for e in report.entries if e.failures} == first
+
+
+def test_raising_normalize_of_compared_sides_is_a_witness():
+    # comparing two sides normalizes them, under the same guard as the sides
+    test_raising_category_calls_are_witnesses(
+        NormalizeRaises, NORMALIZE_RAISES_COUNTS, NORMALIZE_RAISES_FIRST
+    )
 
 
 def test_raising_expected_boundary_is_a_witness():
@@ -491,3 +521,17 @@ def test_cached_errors_give_every_instance_its_witness():
         for e in report.entries
     }
     assert got == ONE_PAIR_RAISES
+
+
+@pytest.mark.parametrize(
+    "counting, plain, level, bound",
+    [(CountingMapsW, WCategory, 3, 3), (CountingMapsV, VCategory, 3, 2)],
+    ids=["w33", "v32"],
+)
+def test_globularity_hands_each_cell_to_each_map_once(counting, plain, level, bound):
+    cat = counting(max_level=level, bound=bound)
+    report = check_globularity(cat)
+    for name in ("source", "target", "normalize"):
+        assert all(n == 1 for (m, _), n in cat.handed.items() if m == name), name
+    assert cat.handed
+    assert report.to_dict() == check_globularity(plain(max_level=level, bound=bound)).to_dict()

@@ -1,9 +1,11 @@
 """Index functors: values on known cells, laws, and inconsistent data."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from ncat import functors
 from ncat.errors import FlowDataInconsistent, UnknownAtom
 from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
@@ -140,3 +142,18 @@ def test_overweight_functor_witnesses(target):
         f"functor-{target}-compose": (0, []),
         "index-bound": (1, ["(ab; a->b): ind(head)=5, want 0 <= ind(head) < 1-0"]),
     }
+
+
+@pytest.mark.parametrize("target, name", [("g", "functor_g"), ("f", "functor_f")])
+def test_each_image_is_computed_once(monkeypatch, target, name):
+    want = check_functor_laws(FD, target)
+    real, images = getattr(functors, name), Counter()
+
+    def counting(cell, env):
+        images[cell] += 1
+        return real(cell, env)
+
+    monkeypatch.setattr(functors, name, counting)
+    report = check_functor_laws(FD, target)
+    assert images and set(images.values()) == {1}
+    assert report.to_dict() == want.to_dict()

@@ -396,7 +396,7 @@ def test_each_cell_is_normalized_once(monkeypatch):
     report = check_globularity(cat).merged(check_axioms(cat))
     monkeypatch.undo()
     distinct = set(cat.handed)
-    assert len(cat.handed) > 2 * len(distinct)  # cells come back, and are looked up
+    assert len(cat.handed) == len(distinct)
     labels = lambda c: [c.head] + [lab for pair in c.spine for lab in pair]
     assert calls == Counter(lab for c in distinct for lab in labels(c))
     ref = ReferenceX(FD, include_composites=True)
