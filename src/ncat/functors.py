@@ -11,7 +11,7 @@ on the almost strict structure.
 
 from __future__ import annotations
 
-from .axioms import AxiomReport, _Law, _memo, _Run
+from .axioms import AxiomReport, _Law, _Memo, _Run
 from .errors import ConstraintViolation, FlowDataInconsistent, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
@@ -88,7 +88,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     env = ind_env(fd)
     cat = XCategory(fd, include_composites=True)
     run = _Run(tcat, 0, None, ())
-    image = _memo(lambda cell: functor(cell, env), run.ids)
+    image = _Memo(lambda cell: functor(cell, env), run.ids)
     src, tgt, one, comp = (
         _Law(f"functor-{target}-{law}") for law in ("source", "target", "identity", "compose")
     )

@@ -59,10 +59,11 @@ __all__ = [
 
 
 class _Hashed:
-    """The slot where a label or cell keeps its value hash.  It stays unset
-    until the first hash(), so building a value costs nothing extra."""
+    """The slots where a label or cell keeps its value hash (``_h``) and a
+    label its ``label_key`` (``_k``).  Each stays unset until first use, so
+    building a value costs nothing extra."""
 
-    __slots__ = ("_h",)
+    __slots__ = ("_h", "_k")
 
 
 def _hash_once(cls):
@@ -120,12 +121,18 @@ Label = "Atom | Pt | Seq"
 
 
 def label_key(x):
-    """Total order on labels: atoms, then diagonals, then gluings."""
-    if isinstance(x, Atom):
-        return (0, x.id)
-    if isinstance(x, Pt):
-        return (1, label_key(x.of))
-    return (2, tuple(label_key(p) for p in x.parts))
+    """Total order on labels: atoms, then diagonals, then gluings.  The key
+    is kept in the label's ``_k`` slot (not a field, like ``_h``)."""
+    k = getattr(x, "_k", None)
+    if k is None:
+        if isinstance(x, Atom):
+            k = (0, x.id)
+        elif isinstance(x, Pt):
+            k = (1, label_key(x.of))
+        else:
+            k = (2, tuple(label_key(p) for p in x.parts))
+        object.__setattr__(x, "_k", k)
+    return k
 
 
 def point_like(x, fd: "FlowData | None") -> bool:
@@ -387,9 +394,10 @@ class XCategory:
             elif level == 0:
                 cells = _base_cells(fd)
             else:
-                cells = [
-                    XCell(Atom(pid), _spine_of(fd, sp))
+                cells = [  # the points of a space share one spine, and its label keys
+                    XCell(Atom(pid), spine)
                     for sp in sorted(fd.spaces_at_level(level), key=lambda s: s.key)
+                    for spine in (_spine_of(fd, sp),)
                     for pid in sorted(sp.points)
                 ]
                 below = self._level(level - 1, False)  # diagonals over one-point homes

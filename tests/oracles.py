@@ -190,6 +190,21 @@ def chain_closure_counts(k: int, m: int) -> list:
     return [k + 1, level1, level1]
 
 
+def uncached_label_key(x):
+    """xcat.label_key rebuilt on every call, without the label's cached key."""
+    if isinstance(x, Atom):
+        return (0, x.id)
+    if isinstance(x, Pt):
+        return (1, uncached_label_key(x.of))
+    return (2, tuple(uncached_label_key(p) for p in x.parts))
+
+
+def uncached_cell_key(cell):
+    """XCell.key from uncached_label_key."""
+    k = uncached_label_key
+    return (k(cell.head), tuple((k(s), k(t)) for s, t in cell.spine))
+
+
 def naive_closure(fd, level: int) -> list:
     """The level's cells closed under composition by the plain fixpoint:
     every round composes every composable pair of the whole pool, until

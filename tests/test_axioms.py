@@ -1,11 +1,20 @@
 """The axiom engine: green on the strict categories, loud on broken ones."""
 
+import hashlib
+import json
+import sys
 from collections import Counter
 
 import pytest
 
+from ncat import axioms
 from ncat.axioms import (
     AXIOM_IDS,
+    _assoc,
+    _Law,
+    _nullary_interchange,
+    _Run,
+    _unit,
     check_axioms,
     check_globularity,
     composable,
@@ -535,3 +544,160 @@ def test_globularity_hands_each_cell_to_each_map_once(counting, plain, level, bo
         assert all(n == 1 for (m, _), n in cat.handed.items() if m == name), name
     assert cat.handed
     assert report.to_dict() == check_globularity(plain(max_level=level, bound=bound)).to_dict()
+
+
+class ForgetfulCompose(WCategory):
+    """Deliberately wrong, and never raising: a composite forgets one unit
+    of its inner cell's head, so two sides can be different valid cells."""
+
+    def compose(self, p, a, c):
+        out = w_compose(p, a, c)
+        return WCell(max(a.head - 1, 0) + c.head, out.spine)
+
+
+class TopTargetZero(WCategory):
+    """Deliberately wrong, and never raising: a composite at the top depth
+    gets target entry 0 in its top pair, so its target is the wrong cell."""
+
+    def compose(self, p, a, c):
+        out = w_compose(p, a, c)
+        if p < a.level - 1:
+            return out
+        (i, _), *rest = out.spine
+        return WCell(out.head, ((i, 0), *rest))
+
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True) for
+# check_globularity(cat).merged(check_axioms(cat, samples=s)) on
+# cls(max_level=3, bound=3), as the engine gave them before law instances
+# were walked optimistically and replayed on failure
+REPORT_DIGESTS = {
+    "HeavyCompose": (
+        "e50f2f934acc84cad5e3d9c792e10a861e19e4ecc943f821c962b89f3c819ddb",
+        "71a0add8e79c3278e1183779f17bf10d9565f90e0bfcd85b7f29b13f200d5ea1",
+        "22ee4143dbc47e14b2b19e623e9dffcdf80e19ac627a505b90aa790dc6464120",
+    ),
+    "LazyIdentity": (
+        "03578523377c6397edd3e990ed3022c0a42964e559e8fed9971b65e4a2c4277b",
+        "6ff0345f1e5cce6025fd301a4d7ca93a5940ceddbad8992c50ebe36694a623df",
+        "99b701e9d058a553102cc22f56b111bd0d26e700b42be244684d2532097cbfc6",
+    ),
+    "ForgetHead": (
+        "01eb579fd626864bac0564641ad68879d6a03737fe74c048d46a0a359c03ceee",
+        "030a56a60609f5040a57518cf9ecda869b0aec4bd523e18824c91165f38f4ccd",
+        "a2673ae76c7f5cff748bc9502f189d8f839d27dc94c37b6360f775c91bfcbd12",
+    ),
+    "LowComposeRaises": (
+        "c2f692f7fb398e54ae78e019e68bc76ee747416cebb948567ab28c0206198b3d",
+        "ac3d3a4874baa82ed60401c094f26be3ab55fbacc5bbdc34d86c14d97fbc4bd1",
+        "37b6abebd36bcef01965989beeacd2165d03fff566548050c28debb93694c99d",
+    ),
+    "IdentityRaises": (
+        "4990eea53579d8f0cd9ff652058afdff9ecb4d248a00c19baf16f350cdbe53fe",
+        "b1855c154f18e227ab60708159bfe2ed6479f34073bd43f04283bcb0adb7c383",
+        "58ea225f0330f28caafdf072f385f58cca87a5af8fa326ea368d787173244869",
+    ),
+    "TargetRaises": (
+        "951246b438db98628d15500895959d44f1032a1cdd8705624cf6d75ef133a072",
+        "a09b75e5142cd2f38060f7e764e52833ab163388e9f1c7dd3e849aef0b23ed24",
+        "a09b75e5142cd2f38060f7e764e52833ab163388e9f1c7dd3e849aef0b23ed24",
+    ),
+    "NormalizeRaises": (
+        "690bfff19d5fe86a450f1e436780533fbd888fdc8a6d5b6ef9158b3fc4f34d78",
+        "2adeaf90aa8366f442768740dfb49ad703ce75335628b0639fc140b339e0d580",
+        "019e9b5f60aa090a0667f5f67b3dd477d5135f888639bbd9a7551610a86e7ce1",
+    ),
+    "ForgetfulCompose": (
+        "6df1a1460df15dd6edd8ee87a758411204b09c81a710d6ea3db7b56e3e7dd4cf",
+        "622f2bef7112d3de134c600cc0c287999e545e10cf04e0936f6c92829fbff30b",
+        "35d3f25f29eb5e1861b9d39277851d5e106c86e1c5a0b2a6131d1f30581710f6",
+    ),
+    "TopTargetZero": (
+        "5eca64f625a99c74a846cf85607b47aac6ec56ff98b230b0f0568c56c51d7c69",
+        "814a7ed31ee1346f2033d686b4b1b5745685938ec415cf1090a29027e7d38e11",
+        "137666d1e5336a80b698b0c52f62e41dd147fea24de0bcbc6b53422c5ac24e84",
+    ),
+    "OnePairRaises": (
+        "bc5868ab52017c24db53de83f71b4df9a18d370f40b0cd40aae2e5f9bdbe9026",
+        "31d15119fef6f45b23cea9b37a95e9cefb2292cc885d00618850a302ed8d3e6e",
+        "fa05341a2e1fb7842d60e1fc249f6618b272baa31be0e883dbc352a629e3ecf4",
+    ),
+}
+
+
+@pytest.mark.parametrize("at", range(3), ids=["samples-20", "samples-50", "samples-200"])
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_broken_category_reports_are_byte_identical(name, at):
+    cat = globals()[name](max_level=3, bound=3)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=(20, 50, 200)[at]))
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name][at]
+
+
+def _guarded_calls(monkeypatch, check):
+    """The calls check() makes into the guarded path: _Law.eval calls, and
+    calls of the law replays, where every witness-context closure is built."""
+    evals, replays = [], []
+    real_eval = _Law.eval
+
+    def counted_eval(law, ctx, fn):
+        evals.append(law)
+        return real_eval(law, ctx, fn)
+
+    monkeypatch.setattr(_Law, "eval", counted_eval)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "replay" and code.co_filename == axioms.__file__:
+            replays.append(frame.f_back.f_code.co_name)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = check()
+    finally:
+        sys.setprofile(outer)
+    return report, evals, replays
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_axioms(WCategory(max_level=3, bound=3), samples=10**9),
+        lambda: check_axioms(VCategory(max_level=3, bound=2), samples=10**9),
+        lambda: check_axioms(WCategory(max_level=4, bound=7), samples=300),
+        lambda: check_globularity(WCategory(max_level=4, bound=5)),
+    ],
+    ids=["w33", "v32", "w47-sampled", "w45-globularity"],
+)
+def test_passing_run_takes_no_guarded_path(monkeypatch, check):
+    report, evals, replays = _guarded_calls(monkeypatch, check)
+    assert report.passed and all(e.checked > 0 for e in report.entries)
+    assert evals == [] and replays == []
+
+
+def test_failing_run_replays_only_its_failures(monkeypatch):
+    # each assoc instance with a witness is replayed once, and no other one
+    cat = HeavyCompose(max_level=2, bound=3)
+    report, evals, replays = _guarded_calls(monkeypatch, lambda: check_axioms(cat, samples=200))
+    failing = {f.detail.split(": ")[0] for f in report.entry("assoc").failures}
+    assert evals and 0 < len(failing) == Counter(replays)["_assoc"] < report.entry("assoc").checked
+    want = check_axioms(HeavyCompose(max_level=2, bound=3), samples=200)
+    assert report.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize(
+    "law, walk, per_instance",
+    [("assoc", _assoc, 2), ("unit", _unit, 2), ("nullary-interchange", _nullary_interchange, 1)],
+)
+def test_raise_first_met_in_a_walk_is_one_witness_per_raising_side(law, walk, per_instance):
+    # on a fresh run no comp-st walk has composed the level-1 pairs first, so
+    # the law's own walk is where the raising compose is first met
+    run = _Run(LowComposeRaises(max_level=2, bound=2), 0, 1000, None)
+    assert not run.composite
+    entry = walk(run)
+    assert entry == check_axioms(LowComposeRaises(max_level=2, bound=2)).entry(law)
+    assert entry.checked == LOW_COMPOSE_COUNTS[law][0]
+    raised = Counter(f.detail[: -len(BROKEN)] for f in entry.failures if f.detail.endswith(BROKEN))
+    assert len(raised) == len(entry.failures) // per_instance > 0
+    assert set(raised.values()) == {per_instance}

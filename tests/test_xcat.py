@@ -51,6 +51,8 @@ from oracles import (
     naive_closure,
     reference_compose,
     reference_normalize,
+    uncached_cell_key,
+    uncached_label_key,
 )
 
 FD = torus_flow_data()
@@ -345,6 +347,16 @@ def test_repr_is_unchanged_by_the_hash_cache():
     assert repr(XCell(a, ())) == "XCell(head=Atom(id='a'), spine=())"
 
 
+def test_label_key_cache_is_not_a_field():
+    x = seq(atom("a"), Pt(atom("b")))
+    fresh = seq(atom("a"), Pt(atom("b")))
+    key = label_key(x)
+    assert label_key(x) is key  # the second call reads the cache
+    assert x == fresh and repr(x) == repr(fresh) and hash(x) == hash(fresh)
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and not hasattr(y, "_k") and label_key(y) == key
+
+
 def test_seq_still_needs_two_parts():
     for parts in ((), (atom("a"),)):
         with pytest.raises(InvalidArguments):
@@ -500,6 +512,23 @@ def test_cells_are_sorted_and_deterministic():
     a = x_cells(FD, 2)
     b = x_cells(FD, 2)
     assert a == b == sorted(a, key=XCell.key)
+
+
+@pytest.mark.parametrize(
+    "fd, closed",
+    [(lambda: FD, False), (lambda: FD, True), (lambda: chain_fd(3, 2), True),
+     (lambda: chain_fd(300, 8), False)],
+    ids=["torus", "torus-closed", "chain-3-2-closed", "chain-300-8"],
+)
+def test_levels_come_out_in_uncached_key_order(fd, closed):
+    # label_key is kept in each label's _k slot; the order must be the one
+    # the key rebuilt from scratch gives, on every level
+    fd = fd()
+    cat = XCategory(fd, include_composites=closed)
+    for level in range(fd.max_level + 1):
+        cells = cat.cells(level)
+        assert cells and cells == sorted(cells, key=uncached_cell_key)
+        assert [label_key(c.head) for c in cells] == [uncached_label_key(c.head) for c in cells]
 
 
 def test_closure_counts():
