@@ -7,11 +7,10 @@ failures are collected as witnesses, never raised, so one broken axiom
 cannot hide another.  An ``NCatError`` raised while evaluating a side of
 an equation is a witness too.  Every law, globularity and the functor
 laws of ``check_functor_laws`` included, runs through one run (``_Run``)
-on dense cell ids, and each law keeps its tally (``_Law``).  The axioms
-and globularity walk their instances optimistically over the run's
-tables: an instance whose two sides are one id passes there, and any
-other is replayed once through the law's guarded code, which records its
-witnesses.  So a passing run never enters the guard and renders nothing.
+on dense cell ids, and each law keeps its tally (``_Law``).  A law reads
+each side from the run's tables as an id or a stored error, never
+raising; an instance whose sides are one id passes, and any other goes
+to ``_Run.settle``, the one place witnesses are written.
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -155,19 +154,6 @@ class _Law:
     def fail(self, detail: str) -> None:
         self.failures.append(AxiomFailure(self.axiom, detail))
 
-    def eval(self, ctx, fn):
-        """fn(), or None once a raised NCatError is recorded as a witness."""
-        try:
-            return fn()
-        except NCatError as e:
-            self.fail(f"{ctx()}: raised {e}")
-            return None
-
-    def holds(self, ctx, pred) -> None:
-        """Witness ctx() unless pred() is true."""
-        if self.eval(ctx, pred) is False:
-            self.fail(ctx())
-
     def entry(self) -> AxiomEntry:
         return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
 
@@ -226,7 +212,8 @@ class _Run:
     raised: ``composite`` keyed (p, a, c), and ``source``, ``target``,
     ``identity`` and ``normalize`` keyed by id.  Handed a stored error in
     place of an id, a table gives it back without a category call, so a
-    chain of peeks stops at the first error, as raising calls do.
+    chain of peeks stops at the first error, as raising calls do.  A law
+    hands an instance that did not pass to ``settle`` as those values.
     """
 
     def __init__(self, cat, seed, samples, levels, low=0):
@@ -275,29 +262,45 @@ class _Run:
             i = self.identity.peek(i)
         return i
 
-    def same(self, i: int, j: int) -> bool:
-        return i == j or self.normalize(i) == self.normalize(j)
+    def settle(self, law, ctx, *sides, each=False) -> bool:
+        """Record the witnesses of one instance; True iff it has none.
 
-    def expect(self, law, ctx, lhs, rhs, shape: str = "{} != {}") -> None:
-        """Witness that side ids lhs and rhs differ after normalize, the
-        rendered sides filling ``shape``.  A side that is None already
-        raised and was recorded; a normalize that raises is a witness too.
-        Equal ids, or ids that normalize to one id, pass without a look at
-        the cells."""
-        if lhs is None or rhs is None or lhs == rhs:
-            return
-        if law.eval(ctx, lambda: self.normalize(lhs) == self.normalize(rhs)) is not False:
-            return
-        law.fail(f"{ctx()}: " + shape.format(self.render(lhs), self.render(rhs)))
-
-    def sides(self, law, ctx, lhs, rhs) -> None:
-        """Witness lhs() != rhs(), each side computed under its own guard."""
-        self.expect(law, ctx, law.eval(ctx, lhs), law.eval(ctx, rhs))
+        Each side is (lhs, rhs, shape): two table values, ids or stored
+        errors, that must be equal after normalize, and the text a
+        non-raised witness fills with the rendered cells (None: ctx()
+        alone).  A stored error is a ``raised`` witness: the first one
+        only, with nothing compared after it, unless ``each``, when every
+        error is recorded and each side without one is still compared.
+        A ``normalize`` that raises is a witness too."""
+        raised = [v for side in sides for v in side[:2] if v.__class__ is not int]
+        for e in raised if each else raised[:1]:
+            law.fail(f"{ctx()}: raised {e}")
+        held = not raised
+        for lhs, rhs, shape in sides if each or held else ():
+            if not (lhs.__class__ is rhs.__class__ is int and lhs != rhs):
+                continue
+            n = self.normalize.peek(lhs)
+            m = self.normalize.peek(rhs) if n.__class__ is int else n
+            if m.__class__ is not int:
+                law.fail(f"{ctx()}: raised {m}")
+            elif n == m:
+                continue
+            elif shape is None:
+                law.fail(ctx())
+            else:
+                law.fail(f"{ctx()}: " + shape.format(self.render(lhs), self.render(rhs)))
+            held = False
+        return held
 
     def check(self, law, ctx, sides) -> None:
-        """One instance whose two side ids sides() computes under one guard."""
+        """One instance whose two side ids sides() computes, raising."""
         law.checked += 1
-        law.eval(ctx, lambda: self.expect(law, ctx, *sides()))
+        try:
+            lhs, rhs = sides()
+        except NCatError as e:
+            lhs = rhs = e
+        if lhs != rhs or lhs.__class__ is not int:
+            self.settle(law, ctx, (lhs, rhs, "{} != {}"))
 
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
@@ -320,19 +323,16 @@ class _Run:
 def check_globularity(cat, levels=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
     run = _Run(cat, 0, None, levels, low=2)
-    s, t = run.source, run.target
+    s, t = run.source.peek, run.target.peek
     laws = ((_Law("globular-ss"), s), (_Law("globular-ts"), t))
-
-    def replay(law, out, l, x):
-        law.holds(lambda: f"level {l}: x={run.render(x)}", lambda: run.same(out(s(x)), out(t(x))))
-
     for l in run.levels:
         for x in run.sample[l]:
             for law, out in laws:
                 law.checked += 1
-                side = out.peek(s.peek(x))
-                if not (side.__class__ is int and side == out.peek(t.peek(x))):
-                    replay(law, out, l, x)
+                lhs = out(s(x))
+                rhs = out(t(x)) if lhs.__class__ is int else lhs
+                if lhs != rhs or lhs.__class__ is not int:
+                    run.settle(law, lambda: f"level {l}: x={run.render(x)}", (lhs, rhs, None))
     return AxiomReport(tuple(law.entry() for law, _ in laws))
 
 
@@ -351,13 +351,12 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     of their arguments: an equal result, or an error with the same message.
     ``check_globularity`` and ``check_functor_laws`` read the same kind of
     run, and ``check_functor_laws`` computes each distinct cell's image
-    once.  Each law walks its instances over the tables' ids, never
-    raising: one whose two sides are one id passes.  Any other, with a
-    stored error or two different ids, is replayed once through the law's
-    guarded code, which re-raises the error as that instance's witness and
-    compares the sides with ``normalize``; a ``normalize`` that raises there
-    is a witness too.  A cell whose chain walk raises while the pair lists
-    are built is one comp-st witness and in no pair at that level and depth.
+    once.  Each law walks its instances over the tables, never raising:
+    one whose two sides are one id passes, and any other goes to
+    ``_Run.settle``, which records each stored error as a witness and
+    compares two ids with ``normalize``.  A cell whose chain walk raises
+    while the pair lists are built is one comp-st witness and in no pair
+    at that level and depth.
     """
     run = _Run(cat, seed, samples, levels)
     laws = (_comp_st, _id_st, _assoc, _unit, _binary_interchange, _nullary_interchange)
@@ -367,16 +366,6 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
 def _comp_st(run) -> AxiomEntry:
     law = _Law("comp-st")
     render, s, t, comp = run.render, run.source.peek, run.target.peek, run.composite.peek
-
-    def replay(l, p, a, c):
-        ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)}"
-        ac = law.eval(ctx, lambda: run.compose(p, a, c))
-        if ac is None:
-            return
-        for step, x, side in ((run.source, a, "s"), (run.target, c, "t")):
-            want = lambda: step(x) if p == l - 1 else run.compose(p, step(a), step(c))
-            law.eval(ctx, lambda: run.expect(law, ctx, step(ac), want(), side + "(CoA)={} != {}"))
-
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
@@ -387,47 +376,40 @@ def _comp_st(run) -> AxiomEntry:
                 ac = comp((p, a, c))
                 law.checked += ac.__class__ is int  # a pair that does not compose is no instance
                 sac, tac = s(ac), t(ac)
-                if not (
+                if (
                     sac.__class__ is tac.__class__ is int
                     and sac == (s(a) if top else comp((p, s(a), s(c))))
                     and tac == (t(c) if top else comp((p, t(a), t(c))))
                 ):
-                    replay(l, p, a, c)
+                    continue
+                ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)}"
+                if ac.__class__ is not int:
+                    run.settle(law, ctx, (ac, ac, None))
+                    continue
+                for v, step, x, side in ((sac, s, a, "s"), (tac, t, c, "t")):
+                    want = v  # one guard per side: the expected value is read only after v
+                    if v.__class__ is int:
+                        want = step(x) if top else comp((p, step(a), step(c)))
+                    run.settle(law, ctx, (v, want, side + "(CoA)={} != {}"))
     return law.entry()
 
 
 def _id_st(run) -> AxiomEntry:
     law = _Law("id-st")
     s, t, ident = run.source.peek, run.target.peek, run.identity.peek
-
-    def replay(l, a):
-        law.holds(
-            lambda: f"level {l}: A={run.render(a)}",
-            lambda: run.same(run.source(one := run.identity(a)), a)
-            and run.same(run.target(one), a),
-        )
-
     for l in (l for l in run.levels if l < run.cat.max_level):
         for a in run.sample[l]:
             law.checked += 1
             one = ident(a)
             if not (s(one) == a and t(one) == a):
-                replay(l, a)
+                ctx = lambda: f"level {l}: A={run.render(a)}"
+                run.settle(law, ctx, (s(one), a, None)) and run.settle(law, ctx, (t(one), a, None))
     return law.entry()
 
 
 def _assoc(run) -> AxiomEntry:
     law = _Law("assoc")
     render, comp = run.render, run.composite.peek
-
-    def replay(l, p, a, c, e):
-        run.sides(
-            law,
-            lambda: f"l={l} p={p} A={render(a)} C={render(c)} E={render(e)}",
-            lambda: run.compose(p, run.compose(p, a, c), e),
-            lambda: run.compose(p, a, run.compose(p, c, e)),
-        )
-
     for l in run.levels:
         for p in range(l):
             pairs = run.pairs(l, p)
@@ -436,44 +418,32 @@ def _assoc(run) -> AxiomEntry:
             for a, c, e in islice(triples, run.cap):
                 law.checked += 1
                 lhs = comp((p, comp((p, a, c)), e))
-                if not (lhs.__class__ is int and lhs == comp((p, a, comp((p, c, e))))):
-                    replay(l, p, a, c, e)
+                rhs = comp((p, a, comp((p, c, e))))
+                if lhs != rhs or lhs.__class__ is not int:
+                    ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)} E={render(e)}"
+                    run.settle(law, ctx, (lhs, rhs, "{} != {}"), each=True)
     return law.entry()
 
 
 def _unit(run) -> AxiomEntry:
     law = _Law("unit")
     comp, tower, source, target = run.composite.peek, run.tower, run.source, run.target
-
-    def replay(l, p, a):
-        ctx = lambda: f"l={l} p={p} A={run.render(a)}"
-        lhs = law.eval(ctx, lambda: run.compose(p, a, run.tower(a, run.target, l - p)))
-        rhs = law.eval(ctx, lambda: run.compose(p, run.tower(a, run.source, l - p), a))
-        run.expect(law, ctx, lhs, a, "1-tower o_p A = {} != A")
-        run.expect(law, ctx, rhs, a, "A o_p 1-tower = {} != A")
-
     for l in run.levels:
         for a in run.sample[l]:
             for p in range(l):
                 law.checked += 1
                 lhs = comp((p, a, tower(a, target, l - p)))
-                if not (lhs == a and comp((p, tower(a, source, l - p), a)) == a):
-                    replay(l, p, a)
+                rhs = comp((p, tower(a, source, l - p), a))
+                if lhs != a or rhs != a:
+                    ctx = lambda: f"l={l} p={p} A={run.render(a)}"
+                    sides = (lhs, a, "1-tower o_p A = {} != A"), (rhs, a, "A o_p 1-tower = {} != A")
+                    run.settle(law, ctx, *sides, each=True)
     return law.entry()
 
 
 def _binary_interchange(run) -> AxiomEntry:
     law = _Law("binary-interchange")
     render, comp = run.render, run.composite.peek
-
-    def replay(l, p, q, a, c, e, h):
-        run.sides(
-            law,
-            lambda: f"l={l} p={p} q={q} A={render(a)} C={render(c)} E={render(e)} H={render(h)}",
-            lambda: run.compose(q, run.compose(p, a, c), run.compose(p, e, h)),
-            lambda: run.compose(p, run.compose(q, a, e), run.compose(q, c, h)),
-        )
-
     for l in run.levels:
         for p in range(1, l):
             pairs_p = run.pairs(l, p)
@@ -491,28 +461,27 @@ def _binary_interchange(run) -> AxiomEntry:
                     law.checked += 1
                     lhs = comp((q, comp((p, a, c)), comp((p, e, h))))
                     rhs = comp((p, comp((q, a, e)), comp((q, c, h))))
-                    if not (lhs.__class__ is int and lhs == rhs):
-                        replay(l, p, q, a, c, e, h)
+                    if lhs != rhs or lhs.__class__ is not int:
+                        run.settle(
+                            law,
+                            lambda: f"l={l} p={p} q={q} A={render(a)} C={render(c)} "
+                            f"E={render(e)} H={render(h)}",
+                            (lhs, rhs, "{} != {}"),
+                            each=True,
+                        )
     return law.entry()
 
 
 def _nullary_interchange(run) -> AxiomEntry:
     law = _Law("nullary-interchange")
     render, comp, ident = run.render, run.composite.peek, run.identity.peek
-
-    def replay(l, p, a, c):
-        run.sides(
-            law,
-            lambda: f"l={l} p={p} A={render(a)} C={render(c)}",
-            lambda: run.compose(p, run.identity(a), run.identity(c)),
-            lambda: run.identity(run.compose(p, a, c)),
-        )
-
     for l in (l for l in run.levels if l < run.cat.max_level):
         for p in range(l):
             for a, c in run.pairs(l, p):
                 law.checked += 1
                 lhs = comp((p, ident(a), ident(c)))
-                if not (lhs.__class__ is int and lhs == ident(comp((p, a, c)))):
-                    replay(l, p, a, c)
+                rhs = ident(comp((p, a, c)))
+                if lhs != rhs or lhs.__class__ is not int:
+                    ctx = lambda: f"l={l} p={p} A={render(a)} C={render(c)}"
+                    run.settle(law, ctx, (lhs, rhs, "{} != {}"), each=True)
     return law.entry()

@@ -12,7 +12,7 @@ on the almost strict structure.
 from __future__ import annotations
 
 from .axioms import AxiomReport, _Law, _Memo, _Run
-from .errors import ConstraintViolation, FlowDataInconsistent, UnknownAtom
+from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
 from .wcat import WCategory, w_make
@@ -84,7 +84,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     elif target == "f":
         name, functor, tcat = "F", functor_f, VCategory()
     else:
-        raise ValueError(f"unknown functor target {target!r}")
+        raise InvalidArguments(f"unknown functor target {target!r}")
     env = ind_env(fd)
     cat = XCategory(fd, include_composites=True)
     run = _Run(tcat, 0, None, ())

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from ncat import functors
-from ncat.errors import FlowDataInconsistent, UnknownAtom
+from ncat.errors import FlowDataInconsistent, InvalidArguments, UnknownAtom
 from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
 from ncat.torus import torus_flow_data
@@ -90,7 +90,7 @@ def test_functor_laws_f():
 
 
 def test_functor_laws_rejects_unknown_target():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArguments):
         check_functor_laws(FD, "h")
 
 
