@@ -24,7 +24,9 @@ cell one level down whose home component is a single point — registered
 points on positive-dimensional spaces and base points get no diagonal
 cell.  Composites (Seq-headed cells) are only enumerated on request,
 by closing under composition.  Each instance builds a level, and its
-closure, once, from its cached level below; x_cells reads a new one.
+closure, once, from its cached level below; x_cells reads a new one.  Its
+one composite table, keyed (p, a, c), holds every composite the closure
+glued, and compose glues only what is not there yet.
 """
 
 from __future__ import annotations
@@ -297,8 +299,12 @@ def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
     if not x_composable(p, a, c):
         sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
         raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
-    l = a.level
-    top = l - 1 - p
+    return _glue_cells(fd, p, a, c)
+
+
+def _glue_cells(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
+    """x_compose of a pair known to be composable, without the check."""
+    top = a.level - 1 - p
     head = glue(a.head, c.head, fd)
     spine = [
         (glue(a.spine[k][0], c.spine[k][0], fd), glue(a.spine[k][1], c.spine[k][1], fd))
@@ -331,9 +337,9 @@ def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
     return XCategory(fd, include_composites).cells(level)
 
 
-def _close_under_composition(fd: FlowData, level: int, cells: list) -> list:
-    """Semi-naive fixpoint: each round composes only the pairs with at
-    least one cell that the previous round added (the frontier)."""
+def _close_under_composition(fd: FlowData, level: int, cells: list, table: dict) -> list:
+    """Semi-naive fixpoint: each round composes only the pairs with a cell
+    that the previous round added (the frontier), into table[p, a, c]."""
     pool = list(cells)
     seen = set(pool)
     frontier = pool
@@ -344,7 +350,7 @@ def _close_under_composition(fd: FlowData, level: int, cells: list) -> list:
         for p in range(level):
             for inner, outer in ((frontier, pool), (old, frontier)):
                 for a, c in composable_pairs(_chain_key, p, inner, outer):
-                    out = x_compose(fd, p, a, c)
+                    out = table[p, a, c] = _glue_cells(fd, p, a, c)
                     if out not in seen:
                         seen.add(out)
                         fresh.append(out)
@@ -364,7 +370,8 @@ class XCategory:
     include_composites=True, cells() also carries every composite, which
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
-    out copies so callers cannot change the cache."""
+    out copies so callers cannot change the cache.  compose() glues only
+    pairs its composite table (filled by the closure) does not hold yet."""
 
     name = "x"
 
@@ -373,6 +380,7 @@ class XCategory:
         self.max_level = fd.max_level
         self.include_composites = include_composites
         self._cells = {}
+        self._composites = {}  # (p, a, c) -> c o_p a
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -390,7 +398,7 @@ class XCategory:
         if key not in self._cells:
             fd = self.fd
             if closed:
-                cells = _close_under_composition(fd, level, self._level(level, False))
+                cells = _close_under_composition(fd, level, self._level(level, False), self._composites)
             elif level == 0:
                 cells = _base_cells(fd)
             else:
@@ -426,7 +434,8 @@ class XCategory:
         return x_identity(cell)
 
     def compose(self, p, a, c):
-        return x_compose(self.fd, p, a, c)
+        key, table = (p, a, c), self._composites
+        return table.get(key) or table.setdefault(key, x_compose(self.fd, p, a, c))
 
     def normalize(self, cell):
         n = lambda lab: normalize(lab, self.fd)

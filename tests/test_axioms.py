@@ -804,3 +804,55 @@ def test_raise_first_met_in_a_walk_is_one_witness_per_raising_side(law, walk, pe
     raised = Counter(f.detail[: -len(BROKEN)] for f in entry.failures if f.detail.endswith(BROKEN))
     assert len(raised) == len(entry.failures) // per_instance > 0
     assert set(raised.values()) == {per_instance}
+
+
+class TallHasNoBoundary(WCategory):
+    """Deliberately broken: a level-2 cell whose top pair has i >= 2 has no
+    source or target.  Some depth-0 composites of two cells that have
+    boundaries are such cells, so comp-st meets a composite whose
+    boundaries raise."""
+
+    def _boundary(self, cell, step):
+        if self.level_of(cell) == 2 and cell.spine[0][0] >= 2:
+            raise InvalidArguments("no boundaries of tall level-2 cells")
+        return step(cell)
+
+    def source(self, cell):
+        return self._boundary(cell, super().source)
+
+    def target(self, cell):
+        return self._boundary(cell, super().target)
+
+
+TALL = ": raised no boundaries of tall level-2 cells"
+
+
+def _tall(cell):
+    return cell.level == 2 and cell.spine[0][0] >= 2
+
+
+def test_globularity_computes_no_rhs_after_a_raising_lhs():
+    # s(x) raises on a tall x, so both laws' lhs raise and neither rhs is
+    # computed; only an rhs would ask for t(x)
+    cat = CallLog(TallHasNoBoundary(max_level=2, bound=4))
+    report = check_globularity(cat)
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == {
+        "globular-ss": (46, 19), "globular-ts": (46, 19),
+    }
+    assert all(f.detail.endswith(TALL) for e in report.entries for f in e.failures)
+    assert not [call for call in cat.calls if call[0] == "target" and _tall(call[1])]
+
+
+def test_comp_st_reads_no_expected_side_after_a_raising_boundary():
+    # on level 2 alone, comp-st is the one law that composes level-1 cells:
+    # a pair's boundaries, for the expected s(CoA) and t(CoA).  A pair with
+    # a tall composite has heads summing to 2 or more on both boundaries,
+    # which no pair with a short composite has, so only reading the
+    # expected side after the raising one composes such boundaries
+    cat = CallLog(TallHasNoBoundary(max_level=2, bound=4))
+    report = check_axioms(cat, levels=[2])
+    assert report.entry("comp-st").checked == 112
+    details = [f.detail for f in report.entry("comp-st").failures]
+    assert sum(d.startswith("l=2 p=0 A=") and d.endswith(TALL) for d in details) == 8
+    low = [call[1:] for call in cat.calls if call[0] == "compose" and call[2].level == 1]
+    assert low and all(w_compose(*args).head < 2 for args in low)

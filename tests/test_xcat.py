@@ -415,6 +415,90 @@ def test_each_cell_is_normalized_once(monkeypatch):
     assert report.to_dict() == check_globularity(ref).merged(check_axioms(ref)).to_dict()
 
 
+# ------------------------------------------- composites computed once
+
+@pytest.mark.parametrize(
+    "fd, distinct",
+    [(lambda: chain_fd(4, 2), 444), (lambda: chain_fd(3, 3), 414), (lambda: FD, 128)],
+    ids=["chain-4-2", "chain-3-3", "torus"],
+)
+def test_each_composite_is_glued_once(monkeypatch, fd, distinct):
+    # distinct: the (p, A, C) that the closure, globularity, the X laws and
+    # both functor checks compose between them, counted as distinct
+    # x_compose arguments of the same checks without the table
+    fd = fd()
+    glued, checked = [], []
+    real_glue, real_compose = xcat._glue_cells, xcat.x_compose
+
+    def counted_glue(fd, p, a, c):
+        glued.append((p, a, c))
+        return real_glue(fd, p, a, c)
+
+    def counted_compose(fd, p, a, c):
+        checked.append((p, a, c))
+        return real_compose(fd, p, a, c)
+
+    monkeypatch.setattr(xcat, "_glue_cells", counted_glue)
+    monkeypatch.setattr(xcat, "x_compose", counted_compose)
+    cat = XCategory(fd, include_composites=True)  # one instance for every check
+    for l in range(fd.max_level + 1):
+        cat.cells(l)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=10**6))
+    for target in ("g", "f"):
+        report = report.merged(check_functor_laws(fd, target, cat=cat))
+    assert report.passed and all(e.checked > 0 for e in report.entries)
+    assert len(glued) == len(set(glued)) == distinct
+    check_axioms(cat, samples=10**6)  # the table also holds what the closure never glued
+    assert len(glued) == distinct
+    # x_compose runs only on a table miss: on pairs the closure never glued
+    assert len(checked) == len(set(checked)) and set(checked) <= set(glued)
+    assert len(checked) < distinct
+
+
+@pytest.mark.parametrize("fd", [lambda: chain_fd(4, 2), lambda: FD], ids=["chain-4-2", "torus"])
+def test_table_gives_what_x_compose_gives(fd):
+    fd = fd()
+    cat = XCategory(fd, include_composites=True)
+    for l in range(1, fd.max_level + 1):
+        for p in range(l):
+            pairs = cat.pairs(l, p)
+            assert pairs and all(cat.compose(p, a, c) == x_compose(fd, p, a, c) for a, c in pairs)
+
+
+def test_table_keeps_the_not_composable_message():
+    cat = XCategory(FD, include_composites=True)
+    closed = cat.cells(1)
+    glued = [x for x in closed if isinstance(x.head, Seq)]
+    cases = [
+        (x1("wx_d"), x1("yz_d"), "not composable at p=0: t-chain x != s-chain y"),
+        (glued[0], glued[1], "not composable at p=0: t-chain z != s-chain w"),
+    ]
+    for a, c, message in cases:
+        assert a in closed and c in closed
+        with pytest.raises(NotComposable) as raised:
+            cat.compose(0, a, c)
+        assert str(raised.value) == message
+        with pytest.raises(NotComposable) as raised:
+            x_compose(FD, 0, a, c)
+        assert str(raised.value) == message
+
+
+def test_reference_category_bypasses_the_table():
+    # every entry of the table is made wrong: XCategory reads it and fails
+    # its laws, ReferenceX composes for itself and reports as before
+    want = check_axioms(XCategory(FD, include_composites=True)).to_dict()
+    poisoned = []
+    for cls in (XCategory, ReferenceX):
+        cat = cls(FD, include_composites=True)
+        for l in range(FD.max_level + 1):
+            cat.cells(l)
+        assert cat._composites
+        for key in cat._composites:
+            cat._composites[key] = key[1]
+        poisoned.append(check_axioms(cat).to_dict())
+    assert poisoned[0] != want and poisoned[1] == want
+
+
 # ------------------------------------------------------------ cell algebra
 
 def x1(ident):
