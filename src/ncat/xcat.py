@@ -26,7 +26,7 @@ cell.  Composites (Seq-headed cells) are only enumerated on request,
 by closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  Its
 one composite table, keyed (p, a, c), holds every composite the closure
-glued, and compose glues only what is not there yet.
+glued, and compose reads it before gluing anything.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ class XCategory:
     include_composites=True, cells() also carries every composite, which
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
-    out copies so callers cannot change the cache.  compose() glues only
-    pairs its composite table (filled by the closure) does not hold yet."""
+    out copies so callers cannot change the cache.  compose() reads the
+    composite table the closure filled and glues only pairs not in it."""
 
     name = "x"
 
@@ -434,8 +434,7 @@ class XCategory:
         return x_identity(cell)
 
     def compose(self, p, a, c):
-        key, table = (p, a, c), self._composites
-        return table.get(key) or table.setdefault(key, x_compose(self.fd, p, a, c))
+        return self._composites.get((p, a, c)) or x_compose(self.fd, p, a, c)
 
     def normalize(self, cell):
         n = lambda lab: normalize(lab, self.fd)

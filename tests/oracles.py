@@ -182,34 +182,6 @@ def chain_document(k: int, m: int) -> dict:
     }
 
 
-def renamed_document(doc: dict, rng) -> dict:
-    """doc under a seeded bijective renaming of every point id and
-    component name, with every declaration list shuffled: the same work
-    and counts, other names and another order.  Boundary strata are not
-    carried over; chain(k, m) has none."""
-    ids = [bp["id"] for bp in doc["base_points"]]
-    ids += [cp["id"] for sp in doc["moduli"] for cp in sp["critical_points"]]
-    comps = sorted({c for sp in doc["moduli"] for c in sp["components"]})
-    names = [f"n{i:04d}" for i in rng.sample(range(10**4), len(ids) + len(comps))]
-    point, comp = dict(zip(ids, names)), dict(zip(comps, names[len(ids):]))
-    shuffled = lambda xs: rng.sample(xs, len(xs))
-    spaces = [
-        {
-            **sp,
-            "source": point[sp["source"]],
-            "target": point[sp["target"]],
-            "components": shuffled([comp[c] for c in sp["components"]]),
-            "critical_points": shuffled(
-                [{**cp, "id": point[cp["id"]], "component": comp[cp["component"]]}
-                 for cp in sp["critical_points"]]
-            ),
-        }
-        for sp in doc["moduli"]
-    ]
-    base = [{**bp, "id": point[bp["id"]]} for bp in doc["base_points"]]
-    return {**doc, "base_points": shuffled(base), "moduli": shuffled(spaces)}
-
-
 def chain_closure_counts(k: int, m: int) -> list:
     """Closed cells per level of chain(k, m), from the shape alone: a
     level-1 cell is a broken line from b_i to b_{i+L} with m choices per

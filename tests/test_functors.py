@@ -1,22 +1,18 @@
 """Index functors: values on known cells, laws, and inconsistent data."""
 
 import json
-import random
 from collections import Counter
 
 import pytest
 
 from ncat import functors
-from ncat.axioms import check_axioms, check_globularity
 from ncat.errors import FlowDataInconsistent, InvalidArguments, UnknownAtom
 from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
-from ncat.torus import torus_document, torus_flow_data
+from ncat.torus import torus_flow_data
 from ncat.vcat import v_render, v_to_w
-from ncat.wcat import WCategory, w_make
-from ncat.xcat import Atom, Pt, Seq, XCategory, XCell, x_cells, x_compose, x_identity
-
-from oracles import chain_document, renamed_document
+from ncat.wcat import w_make
+from ncat.xcat import Atom, Pt, Seq, XCell, x_cells, x_compose, x_identity
 
 FD = torus_flow_data()
 ENV = ind_env(FD)
@@ -161,34 +157,3 @@ def test_each_image_is_computed_once(monkeypatch, target, name):
     report = check_functor_laws(FD, target)
     assert images and set(images.values()) == {1}
     assert report.to_dict() == want.to_dict()
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [torus_document, overweight_document]
-    + [lambda seed=seed: renamed_document(chain_document(4, 2), random.Random(seed)) for seed in range(3)],
-    ids=["torus", "overweight", "chain-4-2-seed-0", "chain-4-2-seed-1", "chain-4-2-seed-2"],
-)
-def test_shared_category_gives_the_same_reports(doc):
-    # one instance serves the X laws, then G, then F, on its shared composites
-    fd = parse_flow_data(json.dumps(doc()))
-    cat = XCategory(fd, include_composites=True)
-    check_globularity(cat).merged(check_axioms(cat))
-    for target in ("g", "f"):
-        shared = json.dumps(check_functor_laws(fd, target, cat=cat).to_dict())
-        assert shared == json.dumps(check_functor_laws(fd, target).to_dict())
-
-
-@pytest.mark.parametrize(
-    "cat",
-    [
-        lambda: WCategory(),
-        lambda: XCategory(parse_flow_data(json.dumps(chain_document(2, 1))), include_composites=True),
-        lambda: XCategory(FD),
-        lambda: "x",
-    ],
-    ids=["w-category", "other-document", "without-composites", "not-a-category"],
-)
-def test_functor_laws_reject_a_mismatched_category(cat):
-    with pytest.raises(InvalidArguments, match="cat must be an XCategory over fd"):
-        check_functor_laws(FD, "g", cat=cat())

@@ -418,14 +418,14 @@ def test_each_cell_is_normalized_once(monkeypatch):
 # ------------------------------------------- composites computed once
 
 @pytest.mark.parametrize(
-    "fd, distinct",
-    [(lambda: chain_fd(4, 2), 444), (lambda: chain_fd(3, 3), 414), (lambda: FD, 128)],
+    "fd, closed, distinct",
+    [(lambda: chain_fd(4, 2), 236, 444), (lambda: chain_fd(3, 3), 198, 414), (lambda: FD, 32, 128)],
     ids=["chain-4-2", "chain-3-3", "torus"],
 )
-def test_each_composite_is_glued_once(monkeypatch, fd, distinct):
-    # distinct: the (p, A, C) that the closure, globularity, the X laws and
-    # both functor checks compose between them, counted as distinct
-    # x_compose arguments of the same checks without the table
+def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
+    # closed: the (p, A, C) the closure glues; distinct: those that the
+    # closure, globularity and the X laws compose between them, counted as
+    # distinct x_compose arguments of the same checks without the table
     fd = fd()
     glued, checked = [], []
     real_glue, real_compose = xcat._glue_cells, xcat.x_compose
@@ -440,19 +440,22 @@ def test_each_composite_is_glued_once(monkeypatch, fd, distinct):
 
     monkeypatch.setattr(xcat, "_glue_cells", counted_glue)
     monkeypatch.setattr(xcat, "x_compose", counted_compose)
-    cat = XCategory(fd, include_composites=True)  # one instance for every check
+    cat = XCategory(fd, include_composites=True)  # one instance for every X check
     for l in range(fd.max_level + 1):
         cat.cells(l)
+    assert len(glued) == len(set(glued)) == closed and not checked
     report = check_globularity(cat).merged(check_axioms(cat, samples=10**6))
-    for target in ("g", "f"):
-        report = report.merged(check_functor_laws(fd, target, cat=cat))
     assert report.passed and all(e.checked > 0 for e in report.entries)
     assert len(glued) == len(set(glued)) == distinct
-    check_axioms(cat, samples=10**6)  # the table also holds what the closure never glued
-    assert len(glued) == distinct
     # x_compose runs only on a table miss: on pairs the closure never glued
-    assert len(checked) == len(set(checked)) and set(checked) <= set(glued)
-    assert len(checked) < distinct
+    assert checked == glued[closed:]
+    # a functor check composes only closed pairs, so its own closure's
+    # table serves every one of them
+    for target in ("g", "f"):
+        glued.clear()
+        checked.clear()
+        assert check_functor_laws(fd, target).passed
+        assert len(glued) == len(set(glued)) == closed and not checked
 
 
 @pytest.mark.parametrize("fd", [lambda: chain_fd(4, 2), lambda: FD], ids=["chain-4-2", "torus"])
