@@ -6,11 +6,11 @@ code exercises every category in the package.  It is a reporter: law
 failures are collected as witnesses, never raised, so one broken axiom
 cannot hide another.  An ``NCatError`` raised while evaluating a side of
 an equation is a witness too.  Every law, globularity and the functor
-laws of ``check_functor_laws`` included, runs through one run (``_Run``)
-on dense cell ids, and each law keeps its tally (``_Law``).  A law reads
-each side from the run's tables as an id or a stored error, never
-raising; an instance whose sides are one id passes, and any other goes
-to ``_Run.settle``, the one place witnesses are written.
+laws of ``check_functor_laws`` included, walks the tables of one run
+(``_Run``) on dense cell ids, and keeps its tally (``_Law``).  A law reads
+each side from the tables as an id or a stored error, never raising; an
+instance whose sides are one id passes, and any other goes to
+``_Run.settle``, the one place witnesses are written.
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -182,7 +182,7 @@ def _ok(out):
 class _Memo(dict):
     """key -> ids[call(key)], or the NCatError that call raised; call runs
     once per distinct key.  ``peek(key)`` gives the stored id or error and
-    never raises; calling the table gives the id or re-raises the error."""
+    never raises."""
 
     def __init__(self, call, ids):
         self.call, self.ids = call, ids
@@ -196,9 +196,6 @@ class _Memo(dict):
         return out
 
     peek = dict.__getitem__
-
-    def __call__(self, key):
-        return _ok(self[key])
 
 
 class _Run:
@@ -242,9 +239,6 @@ class _Run:
             self.sample[l] = [ids[x] for x in cells]
         self._pairs = {}
         self.unwalked = {}  # (l, p) -> [(id, NCatError)] left out of pairs(l, p)
-
-    def compose(self, p: int, a: int, c: int) -> int:
-        return self.composite((p, a, c))
 
     def render(self, i: int) -> str:
         return self.cat.render(self.cell[i])
@@ -291,16 +285,6 @@ class _Run:
                 law.fail(f"{ctx()}: " + shape.format(self.render(lhs), self.render(rhs)))
             held = False
         return held
-
-    def check(self, law, ctx, sides) -> None:
-        """One instance whose two side ids sides() computes, raising."""
-        law.checked += 1
-        try:
-            lhs, rhs = sides()
-        except NCatError as e:
-            lhs = rhs = e
-        if lhs != rhs or lhs.__class__ is not int:
-            self.settle(law, ctx, (lhs, rhs, "{} != {}"))
 
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
@@ -349,10 +333,10 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     distinct cell is handed to ``source``, ``target``, ``identity`` and
     ``normalize`` once.  So those calls must be deterministic in the values
     of their arguments: an equal result, or an error with the same message.
-    ``check_globularity`` and ``check_functor_laws`` read the same kind of
-    run, and ``check_functor_laws`` computes each distinct cell's image
-    once.  Each law walks its instances over the tables, never raising:
-    one whose two sides are one id passes, and any other goes to
+    ``check_globularity`` and ``check_functor_laws`` walk the same kind of
+    run, the latter computing each distinct cell's image once.  Every law,
+    theirs too, walks its instances over the tables, never raising: one
+    whose two sides are one id passes, and any other goes to
     ``_Run.settle``, which records each stored error as a witness and
     compares two ids with ``normalize``.  A cell whose chain walk raises
     while the pair lists are built is one comp-st witness and in no pair

@@ -71,7 +71,10 @@ class FlowData:
             raise UnknownId("$", ident) from None
 
     def space(self, key) -> ModuliSpace:
-        return self.spaces[tuple(key)]
+        key = tuple(key)
+        if key not in self.spaces:
+            raise UnknownId("$", "->".join(map(str, key)))
+        return self.spaces[key]
 
     def home_of(self, ident: str) -> "ModuliSpace | None":
         home = self.point(ident).home

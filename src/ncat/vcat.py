@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidArguments
 from .wcat import (
+    WCategory,
     WCell,
     w_compose,
-    w_enumerate,
     w_identity,
     w_render,
     w_source,
@@ -84,22 +84,14 @@ def v_render(v: VCell) -> str:
     return f"(R^{v.dims.head}, {homs})"
 
 
-class VCategory:
-    """V behind the generic category interface; cells() enumerates via W."""
+class VCategory(WCategory):
+    """V behind the generic category interface: W's cells, levels and
+    normal forms, each cell wrapped as a VCell."""
 
     name = "v"
 
-    def __init__(self, max_level: int = 3, bound: int = 3):
-        self.max_level = max_level
-        self.bound = bound
-
     def cells(self, level: int) -> list:
-        if level > self.max_level:
-            return []
-        return [VCell(q) for q in w_enumerate(level, self.bound)]
-
-    def level_of(self, cell) -> int:
-        return cell.level
+        return [VCell(q) for q in super().cells(level)]
 
     def source(self, cell):
         return v_source(cell)
@@ -112,9 +104,6 @@ class VCategory:
 
     def compose(self, p, a, c):
         return v_compose(p, a, c)
-
-    def normalize(self, cell):
-        return cell
 
     def render(self, cell) -> str:
         return v_render(cell)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -17,6 +19,9 @@ from ncat.axioms import (
     composable,
 )
 from ncat.errors import ConstraintViolation, InvalidArguments, NCatError, NotComposable
+from ncat.flowdata import parse_flow_data
+from ncat.functors import check_functor_laws
+from ncat.torus import torus_flow_data
 from ncat.vcat import VCategory
 from ncat.wcat import (
     WCategory,
@@ -30,7 +35,7 @@ from ncat.wcat import (
     w_target,
 )
 
-from oracles import brute_composable_pairs, capped_law_instances, sampled_levels
+from oracles import brute_composable_pairs, capped_law_instances, chain_document, sampled_levels
 
 
 def test_composable_matches_brute_force():
@@ -748,6 +753,16 @@ def test_broken_category_calls_are_unchanged(name, at):
     assert hashlib.sha256(text.encode()).hexdigest() == CALL_DIGESTS[name][at]
 
 
+def seeded_chain(k, m, seed):
+    """chain(k, m) with its point ids renamed in a seeded order, which
+    reorders its cells."""
+    text = json.dumps(chain_document(k, m))
+    ids = re.findall(r'"id": "(\w+)"', text)
+    for old, new in zip(ids, random.Random(seed).sample(range(len(ids)), len(ids))):
+        text = text.replace(f'"{old}"', f'"v{new:02d}"')
+    return parse_flow_data(text)
+
+
 def _settled(monkeypatch, check):
     """check()'s report, and the axiom of each law instance handed to
     _Run.settle: the one path that builds witness contexts and writes
@@ -770,8 +785,11 @@ def _settled(monkeypatch, check):
         lambda: check_axioms(VCategory(max_level=3, bound=2), samples=10**9),
         lambda: check_axioms(WCategory(max_level=4, bound=7), samples=300),
         lambda: check_globularity(WCategory(max_level=4, bound=5)),
+        lambda: check_functor_laws(torus_flow_data(), "g"),
+        lambda: check_functor_laws(torus_flow_data(), "f"),
+        lambda: check_functor_laws(seeded_chain(3, 2, seed=7), "g"),
     ],
-    ids=["w33", "v32", "w47-sampled", "w45-globularity"],
+    ids=["w33", "v32", "w47-sampled", "w45-globularity", "torus-g", "torus-f", "chain32-g"],
 )
 def test_passing_run_takes_no_guarded_path(monkeypatch, check):
     report, settled = _settled(monkeypatch, check)

@@ -47,6 +47,14 @@ def test_parse_healthy_document():
     assert fd.home_of("a") is None
 
 
+def test_unknown_space_is_an_unknown_id():
+    fd = parse(doc())
+    with pytest.raises(UnknownId, match="^\\$: unknown id 'a->c'$"):
+        fd.space(("a", "c"))
+    with pytest.raises(UnknownId, match="^\\$: unknown id 'b->a'$"):
+        fd.space(["b", "a"])
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(SchemaError) as e:
         parse_flow_data("{not json")

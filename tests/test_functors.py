@@ -1,5 +1,6 @@
 """Index functors: values on known cells, laws, and inconsistent data."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -11,8 +12,11 @@ from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
 from ncat.torus import torus_flow_data
 from ncat.vcat import v_render, v_to_w
-from ncat.wcat import w_make
-from ncat.xcat import Atom, Pt, Seq, XCell, x_cells, x_compose, x_identity
+from ncat.wcat import WCategory, w_make
+from ncat.xcat import Atom, Pt, Seq, XCell, x_cells, x_compose, x_identity, x_render
+
+from oracles import chain_document
+from test_axioms import CallLog
 
 FD = torus_flow_data()
 ENV = ind_env(FD)
@@ -157,3 +161,117 @@ def test_each_image_is_computed_once(monkeypatch, target, name):
     report = check_functor_laws(FD, target)
     assert images and set(images.values()) == {1}
     assert report.to_dict() == want.to_dict()
+
+
+def shifted_g(cell, env):
+    """G, but a glued level-1 cell's target index is one too high: not a
+    functor, yet every image is a valid W cell, so nothing raises."""
+    if cell.level == 1 and isinstance(cell.head, Seq):
+        ((s, t),) = cell.spine
+        return w_make(ind(cell.head, env), [(ind(s, env), ind(t, env) + 1)])
+    return functor_g(cell, env)
+
+
+def test_non_functor_that_never_raises_is_compared_not_raised(monkeypatch):
+    monkeypatch.setattr(functors, "functor_g", shifted_g)
+    report = check_functor_laws(FD, "g")
+    assert {e.axiom: (e.checked, len(e.failures)) for e in report.entries} == {
+        "functor-g-source": (44, 8),
+        "functor-g-target": (44, 16),
+        "functor-g-identity": (28, 8),
+        "functor-g-compose": (32, 8),
+        "index-bound": (44, 0),
+    }
+    assert {e.axiom: [f.detail for f in e.failures[:1]] for e in report.entries} == {
+        "functor-g-source": [
+            "G(s((pt((wx_d, xz_d)); (wx_d, xz_d)->(wx_d, xz_d), w->z))): "
+            "(0, [2 ; 1]) != (0, [2 ; 0])"
+        ],
+        "functor-g-target": ["G(t(((wx_d, xz_d); w->z))): 0 != 1"],
+        "functor-g-identity": [
+            "G(1(((wx_d, xz_d); w->z))): (0, [0 2 ; 0 0]) != (0, [0 2 ; 0 1])"
+        ],
+        "functor-g-compose": [
+            "G(C o_0 A) for A=(wx_d; w->x), C=(xz_d; x->z): (0, [2 ; 1]) != (0, [2 ; 0])"
+        ],
+        "index-bound": [],
+    }
+    assert not [f for e in report.entries for f in e.failures if "raised" in f.detail]
+
+
+def raising_g(*heads):
+    """G, raising on the plain cells with these head ids."""
+
+    def g(cell, env):
+        if cell.head in {Atom(h) for h in heads}:
+            raise FlowDataInconsistent(f"no image of {x_render(cell)}")
+        return functor_g(cell, env)
+
+    return g
+
+
+def short_chain():
+    """b0 -> b1 -> b2 at max_level 1: the glued cell is the one composite,
+    and the outer cell of its pair has its image read nowhere else once G
+    raises on every base point."""
+    return parse_flow_data(json.dumps({**chain_document(2, 1), "max_level": 1}))
+
+
+# fd, and the head ids G raises on
+CASES = {
+    "torus": (lambda: FD, ()),
+    "overweight": (lambda: parse_flow_data(json.dumps(overweight_document())), ()),
+    "torus-raising-g": (lambda: FD, ("w", "wx_d")),
+    "chain-raising-g": (short_chain, ("b0", "b1", "b2", "p0_0")),
+}
+
+
+# number of calls, sha256 of json.dumps of the sorted distinct reprs of
+# every G call and every call on the receiving W, and sha256 of the
+# report's JSON, as the check with raising per-instance sides made them
+CALLS = {
+    "torus": (
+        88,
+        "e126e182002065d01236e9a2d8a0849adbf063f33c22dfe40ac456354db2eca1",
+        "e93775c3b976a7ab3c7761f516ed85d81f077c22b769b0b1e64963a2a6bc7aa5",
+    ),
+    "overweight": (
+        7,
+        "c38346ff27dc57abc70629b04a00be8bb94db0ed68e95104dc27cf77f40f4017",
+        "6160401541b4acbc9b0eb12cec2939329fb91bbf2f35b2a3707a2ec170d94a7a",
+    ),
+    "torus-raising-g": (
+        84,
+        "0aa841284d525689b393ef290e228c23ba497e1b43c070d7f930c0cb42089514",
+        "37022570641a43d88e0cd04e02d98bd345a7f09142ea39076ad31031fae9054c",
+    ),
+    "chain-raising-g": (
+        8,
+        "33ca5d6105404432bd1abfeb114bc52e7541ca425371aa1e32f6ef7e4c200165",
+        "bfe19781e85b3e3b46f161c57e3a88788a80956e91bc0c2b78bf409a10db2127",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALLS))
+def test_functor_check_calls_are_unchanged(monkeypatch, case):
+    # the functor and W are asked for exactly what they were asked for
+    # before: a side read after a raising one, or one read eagerly, shows here
+    make_fd, heads = CASES[case]
+    fd, g = make_fd(), raising_g(*heads)
+    log = CallLog(WCategory())
+
+    def logged_g(cell, env):
+        log.calls.append(("functor_g", cell))
+        return g(cell, env)
+
+    monkeypatch.setattr(functors, "functor_g", logged_g)
+    monkeypatch.setattr(functors, "WCategory", lambda: log)
+    report = check_functor_laws(fd, "g")
+    calls = json.dumps(sorted({repr(call) for call in log.calls}))
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert (
+        len(log.calls),
+        hashlib.sha256(calls.encode()).hexdigest(),
+        hashlib.sha256(text.encode()).hexdigest(),
+    ) == CALLS[case]
