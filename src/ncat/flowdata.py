@@ -67,14 +67,16 @@ class FlowData:
     def point(self, ident: str) -> CritPoint:
         try:
             return self.points[ident]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownId("$", ident) from None
 
     def space(self, key) -> ModuliSpace:
-        key = tuple(key)
-        if key not in self.spaces:
-            raise UnknownId("$", "->".join(map(str, key)))
-        return self.spaces[key]
+        """The space of a (source, target) pair, given as a tuple or a list."""
+        pair = isinstance(key, (tuple, list))
+        try:
+            return self.spaces[tuple(key) if pair else key]
+        except (KeyError, TypeError):
+            raise UnknownId("$", "->".join(map(str, key)) if pair else key) from None
 
     def home_of(self, ident: str) -> "ModuliSpace | None":
         home = self.point(ident).home

@@ -15,8 +15,8 @@ Every label X builds is normal by construction: enumerated cells carry
 atoms and diagonals of atoms, and x_compose glues two normal labels with
 glue, which rewrites the concatenated pieces without normalizing either
 half again.  That gives normalize's result because normal parts hold no
-gluings and normalize is idempotent.  Labels and cells cache their value
-hash on first use.
+gluings and normalize is idempotent.  Labels and cells are tagged tuples,
+so hashing, equality and sorting run in C, and a cell is its own sort key.
 
 XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
@@ -32,7 +32,7 @@ glued, and compose reads it before gluing anything.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .axioms import composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
@@ -60,60 +60,50 @@ __all__ = [
 ]
 
 
-class _Hashed:
-    """The slots where a label or cell keeps its value hash (``_h``) and a
-    label its ``label_key`` (``_k``).  Each stays unset until first use, so
-    building a value costs nothing extra."""
+class _Label(tuple):
+    """A label is the tuple (tag, value), tag 0 for Atom, 1 for Pt and 2 for
+    Seq.  Hashing, equality and order are the tuple's, run in C: atoms, then
+    diagonals, then gluings, each by value, recursively."""
 
-    __slots__ = ("_h", "_k")
+    __slots__ = ()
 
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls._tag, value))
 
-def _hash_once(cls):
-    """Cache the dataclass value hash in the ``_h`` slot on the first
-    hash().  It is the value the generated __hash__ gives (the hash of the
-    compared fields), so sets and dicts iterate in the same order as
-    without the cache.  _h is not a dataclass field, so equality, repr and
-    pickling never see it: no hash travels to another process, where str
-    hashes differ."""
-    value_hash = cls.__hash__
+    def __getnewargs__(self):
+        return (self[1],)
 
-    def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
-            h = value_hash(self)
-            object.__setattr__(self, "_h", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self[1]!r})"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class Atom(_Hashed):
-    id: str
+class Atom(_Label):
+    __slots__ = ()
+    _tag, _field = 0, "id"
+    id = property(itemgetter(1))
 
     def __str__(self) -> str:
         return self.id
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class Pt(_Hashed):
-    of: "Label"
+class Pt(_Label):
+    __slots__ = ()
+    _tag, _field = 1, "of"
+    of = property(itemgetter(1))
 
     def __str__(self) -> str:
         return f"pt({self.of})"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class Seq(_Hashed):
-    parts: "tuple[Label, ...]"
+class Seq(_Label):
+    __slots__ = ()
+    _tag, _field = 2, "parts"
+    parts = property(itemgetter(1))
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __new__(cls, parts):
+        if len(parts) < 2:
             raise InvalidArguments("a glued label needs at least two parts")
+        return super().__new__(cls, parts)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -123,18 +113,8 @@ Label = "Atom | Pt | Seq"
 
 
 def label_key(x):
-    """Total order on labels: atoms, then diagonals, then gluings.  The key
-    is kept in the label's ``_k`` slot (not a field, like ``_h``)."""
-    k = getattr(x, "_k", None)
-    if k is None:
-        if isinstance(x, Atom):
-            k = (0, x.id)
-        elif isinstance(x, Pt):
-            k = (1, label_key(x.of))
-        else:
-            k = (2, tuple(label_key(p) for p in x.parts))
-        object.__setattr__(x, "_k", k)
-    return k
+    """The sort key of a label: the label itself, a tagged tuple."""
+    return x
 
 
 def point_like(x, fd: "FlowData | None") -> bool:
@@ -228,23 +208,26 @@ def _collapse(parts: list, fd) -> list:
     return parts
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class XCell(_Hashed):
-    """head label over a top-down spine of (source, target) label pairs."""
+class XCell(tuple):
+    """head label over a top-down spine of (source, target) label pairs: the
+    tuple (head, spine), so cells sort by head, then spine."""
 
-    head: "Atom | Pt | Seq"
-    spine: tuple
+    __slots__ = ()
+    head = property(itemgetter(0))
+    spine = property(itemgetter(1))
+    level = property(lambda self: len(self[1]))
 
-    @property
-    def level(self) -> int:
-        return len(self.spine)
+    def __new__(cls, head, spine):
+        return tuple.__new__(cls, (head, spine))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def key(self):
-        return (
-            label_key(self.head),
-            tuple((label_key(s), label_key(t)) for s, t in self.spine),
-        )
+        return self
+
+    def __repr__(self) -> str:
+        return f"XCell(head={self[0]!r}, spine={self[1]!r})"
 
     def __str__(self) -> str:
         return x_render(self)
@@ -356,7 +339,7 @@ def _close_under_composition(fd: FlowData, level: int, cells: list, table: dict)
                         fresh.append(out)
         pool = pool + fresh
         frontier = fresh
-    return sorted(pool, key=XCell.key)
+    return sorted(pool)
 
 
 def x_composable_pairs(fd: FlowData, level: int, p: int, include_composites: bool = False) -> list:
@@ -402,7 +385,7 @@ class XCategory:
             elif level == 0:
                 cells = _base_cells(fd)
             else:
-                cells = [  # the points of a space share one spine, and its label keys
+                cells = [  # the points of a space share one spine
                     XCell(Atom(pid), spine)
                     for sp in sorted(fd.spaces_at_level(level), key=lambda s: s.key)
                     for spine in (_spine_of(fd, sp),)
@@ -410,7 +393,7 @@ class XCategory:
                 ]
                 below = self._level(level - 1, False)  # diagonals over one-point homes
                 cells += [x_identity(b) for b in below if point_like(b.head, fd)]
-                cells.sort(key=XCell.key)
+                cells.sort()
             self._cells[key] = cells
         return self._cells[key]
 

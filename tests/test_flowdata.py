@@ -6,6 +6,7 @@ import pytest
 
 from ncat.errors import DuplicateId, NCatError, SchemaError, UnknownId
 from ncat.flowdata import emit_flow_data, parse_flow_data, validate_flow_data
+from ncat.torus import torus_flow_data
 
 
 def doc(**overrides):
@@ -53,6 +54,20 @@ def test_unknown_space_is_an_unknown_id():
         fd.space(("a", "c"))
     with pytest.raises(UnknownId, match="^\\$: unknown id 'b->a'$"):
         fd.space(["b", "a"])
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [("point", ["w"]), ("home_of", ["w"]), ("space", ("w", ["x"])), ("space", 5),
+     ("space", "wx"), ("space", ["w"]), ("space", None)],
+    ids=["point-list", "home-of-list", "space-unhashable-end", "space-int", "space-str",
+         "space-one-end", "space-none"],
+)
+def test_unreadable_ids_are_unknown_ids(call, arg):
+    # an unhashable id, or a space key that is not a (source, target) pair,
+    # is an id the document never declared; a string is not split into one
+    with pytest.raises(UnknownId):
+        getattr(torus_flow_data(), call)(arg)
 
 
 def test_parse_rejects_invalid_json():

@@ -282,12 +282,39 @@ def test_prop_glue_of_normal_labels_matches_reference(u, v, fd):
     assert glue(normalize(u, fd), normalize(v, fd), fd) == reference_normalize(Seq((u, v)), fd)
 
 
+# ------------------------------- tuple order and equality against the key
+
+def cell_trees(ids):
+    labels = label_trees(ids)
+    spines = st.lists(st.tuples(labels, labels), max_size=2).map(tuple)
+    return st.builds(XCell, labels, spines)
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [(label_trees(TREE_IDS), uncached_label_key), (cell_trees(TREE_IDS[:3]), uncached_cell_key)],
+    ids=["labels", "cells"],
+)
+def test_prop_order_and_equality_are_the_uncached_keys(values, key):
+    @given(st.lists(values, max_size=6))
+    @settings(max_examples=200)
+    def check(xs):
+        assert sorted(xs) == sorted(xs, key=key)
+        assert [key(x) for x in sorted(xs)] == sorted(map(key, xs))
+        copies = pickle.loads(pickle.dumps(xs))  # equal values, built apart
+        for a in xs:
+            for b in xs + copies:
+                assert (a == b) == (key(a) == key(b))
+
+    check()
+
+
 # ------------------------------------------------------ cached label hashes
 
 BUILT = {  # kind -> (a fresh value each call, its compared fields)
-    "atom": (lambda: Atom("wx_d"), lambda x: (x.id,)),
-    "pt": (lambda: Pt(seq(atom("wx_d"), atom("xz_d"))), lambda x: (x.of,)),
-    "seq": (lambda: seq(atom("wx_d"), Pt(atom("x")), atom("xz_s")), lambda x: (x.parts,)),
+    "atom": (lambda: Atom("wx_d"), lambda x: (0, x.id)),
+    "pt": (lambda: Pt(seq(atom("wx_d"), atom("xz_d"))), lambda x: (1, x.of)),
+    "seq": (lambda: seq(atom("wx_d"), Pt(atom("x")), atom("xz_s")), lambda x: (2, x.parts)),
     "xcell": (
         lambda: XCell(seq(atom("wx_d"), atom("xz_d")), ((Atom("w"), Atom("z")),)),
         lambda x: (x.head, x.spine),
@@ -296,7 +323,7 @@ BUILT = {  # kind -> (a fresh value each call, its compared fields)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILT))
-def test_cached_hash_is_the_value_hash(kind):
+def test_hash_is_the_value_hash(kind):
     build, compared = BUILT[kind]
     x = build()
     assert hash(x) == hash(compared(x))
