@@ -13,20 +13,21 @@ small confluent rewrite system (see normalize).
 
 Every label X builds is normal by construction: enumerated cells carry
 atoms and diagonals of atoms, and x_compose glues two normal labels with
-glue, which rewrites the concatenated pieces without normalizing either
-half again.  That gives normalize's result because normal parts hold no
-gluings and normalize is idempotent.  Labels and cells are tagged tuples,
-so hashing, equality and sorting run in C, and a cell is its own sort key.
+glue, which absorbs a diagonal at the seam at once and rewrites any other
+pair's pieces without normalizing either half again.  Labels and cells
+are tagged tuples, so hashing, equality and sorting run in C, and a cell
+is its own sort key.
 
 XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
 cell one level down whose home component is a single point — registered
 points on positive-dimensional spaces and base points get no diagonal
-cell.  Composites (Seq-headed cells) are only enumerated on request,
-by closing under composition.  Each instance builds a level, and its
-closure, once, from its cached level below; x_cells reads a new one.  Its
-one composite table, keyed (p, a, c), holds every composite the closure
-glued, and compose reads it before gluing anything.
+cell.  Composites (Seq-headed cells) are only enumerated on request, by
+closing under composition.  Each instance builds a level, and its
+closure, once, from its cached level below; x_cells reads a new one.  The
+closure fills its composite table, keyed (p, a, c), which compose reads
+first, and glues each label pair with no diagonal once, through its table
+keyed (u, v).  x_compose on a bare document uses neither table.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "normalize",
     "glue",
     "point_like",
-    "label_key",
     "XCell",
     "x_cells",
     "x_source",
@@ -112,11 +112,6 @@ class Seq(_Label):
 Label = "Atom | Pt | Seq"
 
 
-def label_key(x):
-    """The sort key of a label: the label itself, a tagged tuple."""
-    return x
-
-
 def point_like(x, fd: "FlowData | None") -> bool:
     """Structurally index-0: every constituent is either a diagonal point
     or a registered point whose home component is zero-dimensional."""
@@ -150,9 +145,9 @@ def normalize(x, fd: "FlowData | None" = None):
 
     It runs in two steps: normalize the parts and flatten them (1), then
     rewrite the flat list of normal pieces with (2)-(4) (_rewrite).
-    x_compose skips the first step: its labels are already normal, so it
-    hands their pieces straight to the second (glue).  Normal parts hold
-    no gluings and normalize is idempotent, so that is the same result.
+    x_compose skips the first step: its labels are normal, and glue absorbs
+    a diagonal at the seam or rewrites the pieces of both (normal parts hold
+    no gluings and normalize is idempotent, so that is the same result).
     """
     if isinstance(x, Atom):
         return x
@@ -166,9 +161,16 @@ def normalize(x, fd: "FlowData | None" = None):
 
 
 def glue(u, v, fd: "FlowData | None" = None):
-    """normalize(Seq((u, v)), fd) for labels u and v that are already
-    normal: their pieces are concatenated and rewritten, and neither half
-    is normalized again."""
+    """normalize(Seq((u, v)), fd) for normal labels u and v.  A diagonal at
+    the seam needs no rewrite: a normal label with a real piece holds no Pt
+    pieces ((2) removed them; (3) turns a gluing of diagonals into a
+    diagonal), so Pt(a) glued to it leaves it, Pt(a) to Pt(a) is Pt(a) by
+    (4), and Pt(a) to Pt(b) is Pt(glue(a, b)) by (3).  Any other pair's
+    pieces are concatenated and rewritten, neither half normalized again."""
+    if type(v) is Pt:
+        return u if type(u) is not Pt or u == v else Pt(glue(u.of, v.of, fd))
+    if type(u) is Pt:
+        return v
     return _rewrite(_pieces(u) + _pieces(v), fd)
 
 
@@ -222,9 +224,6 @@ class XCell(tuple):
 
     def __getnewargs__(self):
         return tuple(self)
-
-    def key(self):
-        return self
 
     def __repr__(self) -> str:
         return f"XCell(head={self[0]!r}, spine={self[1]!r})"
@@ -282,15 +281,15 @@ def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
     if not x_composable(p, a, c):
         sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
         raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
-    return _glue_cells(fd, p, a, c)
+    return _glue_cells(lambda u, v: glue(u, v, fd), p, a, c)
 
 
-def _glue_cells(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
-    """x_compose of a pair known to be composable, without the check."""
+def _glue_cells(glue_labels, p: int, a: XCell, c: XCell) -> XCell:
+    """x_compose of a composable pair, without the check, by glue_labels(u, v)."""
     top = a.level - 1 - p
-    head = glue(a.head, c.head, fd)
+    head = glue_labels(a.head, c.head)
     spine = [
-        (glue(a.spine[k][0], c.spine[k][0], fd), glue(a.spine[k][1], c.spine[k][1], fd))
+        (glue_labels(a.spine[k][0], c.spine[k][0]), glue_labels(a.spine[k][1], c.spine[k][1]))
         for k in range(top)
     ]
     spine.append((a.spine[top][0], c.spine[top][1]))
@@ -320,7 +319,7 @@ def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
     return XCategory(fd, include_composites).cells(level)
 
 
-def _close_under_composition(fd: FlowData, level: int, cells: list, table: dict) -> list:
+def _close_under_composition(glue_labels, level: int, cells: list, table: dict) -> list:
     """Semi-naive fixpoint: each round composes only the pairs with a cell
     that the previous round added (the frontier), into table[p, a, c]."""
     pool = list(cells)
@@ -333,7 +332,7 @@ def _close_under_composition(fd: FlowData, level: int, cells: list, table: dict)
         for p in range(level):
             for inner, outer in ((frontier, pool), (old, frontier)):
                 for a, c in composable_pairs(_chain_key, p, inner, outer):
-                    out = table[p, a, c] = _glue_cells(fd, p, a, c)
+                    out = table[p, a, c] = _glue_cells(glue_labels, p, a, c)
                     if out not in seen:
                         seen.add(out)
                         fresh.append(out)
@@ -364,6 +363,7 @@ class XCategory:
         self.include_composites = include_composites
         self._cells = {}
         self._composites = {}  # (p, a, c) -> c o_p a
+        self._glued = {}  # (u, v) -> glue(u, v, fd); per document, as point_like reads fd
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -381,7 +381,7 @@ class XCategory:
         if key not in self._cells:
             fd = self.fd
             if closed:
-                cells = _close_under_composition(fd, level, self._level(level, False), self._composites)
+                cells = _close_under_composition(self._glue, level, self._level(level, False), self._composites)
             elif level == 0:
                 cells = _base_cells(fd)
             else:
@@ -396,6 +396,16 @@ class XCategory:
                 cells.sort()
             self._cells[key] = cells
         return self._cells[key]
+
+    def _glue(self, u, v):
+        """glue over this document; each pair with no diagonal, inside (3) too, is glued once."""
+        if type(u) is Pt or type(v) is Pt:
+            if type(u) is type(v) and u != v:
+                return Pt(self._glue(u.of, v.of))
+            return glue(u, v, self.fd)
+        if (u, v) not in self._glued:
+            self._glued[u, v] = glue(u, v, self.fd)
+        return self._glued[u, v]
 
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""

@@ -191,7 +191,8 @@ def chain_closure_counts(k: int, m: int) -> list:
 
 
 def uncached_label_key(x):
-    """xcat.label_key rebuilt on every call, without the label's cached key."""
+    """A label's sort key built from its fields: atoms, then diagonals,
+    then gluings, each by value, recursively."""
     if isinstance(x, Atom):
         return (0, x.id)
     if isinstance(x, Pt):
@@ -200,7 +201,7 @@ def uncached_label_key(x):
 
 
 def uncached_cell_key(cell):
-    """XCell.key from uncached_label_key."""
+    """A cell's sort key from uncached_label_key: head, then spine."""
     k = uncached_label_key
     return (k(cell.head), tuple((k(s), k(t)) for s, t in cell.spine))
 
@@ -208,10 +209,10 @@ def uncached_cell_key(cell):
 def naive_closure(fd, level: int) -> list:
     """The level's cells closed under composition by the plain fixpoint:
     every round composes every composable pair of the whole pool, until
-    a round adds nothing.  Sorted by XCell.key."""
+    a round adds nothing.  Sorted by uncached_cell_key."""
     pool = set(x_cells(fd, level))
     while True:
-        cells = sorted(pool, key=XCell.key)
+        cells = sorted(pool, key=uncached_cell_key)
         new = {
             x_compose(fd, p, a, c)
             for p in range(level)

@@ -32,7 +32,6 @@ from ncat.xcat import (
     XCategory,
     XCell,
     glue,
-    label_key,
     normalize,
     point_like,
     x_cells,
@@ -85,7 +84,7 @@ def test_label_rendering():
 
 def test_label_key_orders_atoms_diagonals_gluings():
     a, p, s = atom("a"), Pt(atom("a")), seq(atom("a"), atom("b"))
-    assert sorted([s, p, a], key=label_key) == [a, p, s]
+    assert sorted([s, p, a]) == sorted([s, p, a], key=uncached_label_key) == [a, p, s]
 
 
 def test_point_like():
@@ -264,6 +263,38 @@ def test_glue_matches_reference_normalize(fd):
         assert glue(u, v, fd) == reference_normalize(label, fd)
 
 
+@pytest.mark.parametrize("fd", [FD, chain_fd(3, 2), chain_fd(4, 3)], ids=["torus", "chain-3-2", "chain-4-3"])
+def test_diagonal_seam_is_absorbed_whole(fd):
+    labels = ARISING if fd is FD else arising_labels(fd)
+    seams = [label.parts for label in labels if Pt in map(type, label.parts)]
+    assert seams and any(type(u) is not type(v) for u, v in seams)
+    for u, v in seams:
+        out = glue(u, v, fd)
+        assert out == reference_normalize(Seq((u, v)), fd)
+        if type(u) is not Pt:
+            assert out is u
+        elif type(v) is not Pt:
+            assert out is v
+
+
+@pytest.mark.parametrize("fd", [FD, None], ids=["torus", "no-data"])
+def test_diagonal_seam_cases(fd):
+    s = seq(atom("wx_d"), atom("xz_d"))
+    cases = [  # u, v, glue(u, v, fd)
+        (Pt(atom("x")), s, s),
+        (s, Pt(atom("x")), s),
+        (Pt(s), Pt(s), Pt(s)),
+        (Pt(atom("wx_d")), Pt(atom("xz_d")), Pt(s)),
+        # the inside is glued over fd: wx_d is point-like only with the data
+        (Pt(atom("wx_d")), Pt(s), Pt(s if fd else seq(atom("wx_d"), atom("wx_d"), atom("xz_d")))),
+    ]
+    for u, v, want in cases:
+        out = glue(u, v, fd)
+        assert out == want == reference_normalize(Seq((u, v)), fd)
+        if type(u) is not type(v):  # a real label is returned itself
+            assert out is (v if type(u) is Pt else u)
+
+
 TREE_IDS = ["w", "x", "wx_d", "xz_d", "wz_max_dd", "wz_min_dd"]
 
 
@@ -377,11 +408,10 @@ def test_repr_is_unchanged_by_the_hash_cache():
 def test_label_key_cache_is_not_a_field():
     x = seq(atom("a"), Pt(atom("b")))
     fresh = seq(atom("a"), Pt(atom("b")))
-    key = label_key(x)
-    assert label_key(x) is key  # the second call reads the cache
+    assert not hasattr(x, "_k")  # a label is its own sort key; none is cached
     assert x == fresh and repr(x) == repr(fresh) and hash(x) == hash(fresh)
     y = pickle.loads(pickle.dumps(x))
-    assert y == x and not hasattr(y, "_k") and label_key(y) == key
+    assert y == x and not hasattr(y, "_k") and uncached_label_key(y) == uncached_label_key(x)
 
 
 def test_seq_still_needs_two_parts():
@@ -483,6 +513,51 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
         checked.clear()
         assert check_functor_laws(fd, target).passed
         assert len(glued) == len(set(glued)) == closed and not checked
+
+
+@pytest.mark.parametrize(
+    "fd, checked",
+    [
+        (lambda: chain_fd(4, 2), [52, 52, 236, 57, 180, 156, 92, 92]),
+        (lambda: chain_fd(3, 3), [54, 54, 198, 58, 108, 162, 72, 72]),
+        (lambda: FD, [20, 20, 32, 28, 16, 64, 8, 8]),
+    ],
+    ids=["chain-4-2", "chain-3-3", "torus"],
+)
+def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
+    # the closure, globularity and the X laws on one instance: a label pair
+    # reaches _rewrite from glue at most once, and never with a diagonal;
+    # checked: each report entry's count, in report order
+    fd = fd()
+    stack, rewritten = [], Counter()  # stack: the glue calls in progress
+    real_glue, real_rewrite = xcat.glue, xcat._rewrite
+
+    def counted_glue(u, v, fd=None):
+        stack.append((u, v))
+        try:
+            return real_glue(u, v, fd)
+        finally:
+            stack.pop()
+
+    def counted_rewrite(parts, fd):
+        if stack and stack[-1] is not None:  # called by glue, not by _rewrite
+            rewritten[stack[-1]] += 1
+        stack.append(None)
+        try:
+            return real_rewrite(parts, fd)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(xcat, "glue", counted_glue)
+    monkeypatch.setattr(xcat, "_rewrite", counted_rewrite)
+    cat = XCategory(fd, include_composites=True)
+    for l in range(fd.max_level + 1):
+        cat.cells(l)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=10**6))
+    monkeypatch.undo()
+    assert report.passed and [e.checked for e in report.entries] == checked
+    assert rewritten and set(rewritten.values()) == {1}
+    assert not [uv for uv in rewritten if Pt in map(type, uv)]
 
 
 @pytest.mark.parametrize("fd", [lambda: chain_fd(4, 2), lambda: FD], ids=["chain-4-2", "torus"])
@@ -625,7 +700,7 @@ def test_cells_above_max_level_warn_and_are_empty():
 def test_cells_are_sorted_and_deterministic():
     a = x_cells(FD, 2)
     b = x_cells(FD, 2)
-    assert a == b == sorted(a, key=XCell.key)
+    assert a == b == sorted(a, key=uncached_cell_key)
 
 
 @pytest.mark.parametrize(
@@ -635,14 +710,15 @@ def test_cells_are_sorted_and_deterministic():
     ids=["torus", "torus-closed", "chain-3-2-closed", "chain-300-8"],
 )
 def test_levels_come_out_in_uncached_key_order(fd, closed):
-    # label_key is kept in each label's _k slot; the order must be the one
-    # the key rebuilt from scratch gives, on every level
+    # a cell is its own sort key; its order must be the one the key built
+    # from the fields gives, on every level
     fd = fd()
     cat = XCategory(fd, include_composites=closed)
     for level in range(fd.max_level + 1):
         cells = cat.cells(level)
         assert cells and cells == sorted(cells, key=uncached_cell_key)
-        assert [label_key(c.head) for c in cells] == [uncached_label_key(c.head) for c in cells]
+        heads = [c.head for c in cells]
+        assert heads == sorted(heads, key=uncached_label_key)
 
 
 def test_closure_counts():
