@@ -29,8 +29,8 @@ categories normalize is the identity and the laws hold literally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import InvalidArguments, NCatError
 
@@ -56,17 +56,15 @@ AXIOM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     detail: str
 
     def to_dict(self):
-        return {"axiom": self.axiom, "detail": self.detail}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class AxiomEntry:
+class AxiomEntry(NamedTuple):
     axiom: str
     checked: int
     failures: tuple[AxiomFailure, ...] = ()
@@ -84,8 +82,7 @@ class AxiomEntry:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     entries: tuple[AxiomEntry, ...]
 
     @property
@@ -96,7 +93,7 @@ class AxiomReport:
         for e in self.entries:
             if e.axiom == axiom:
                 return e
-        raise KeyError(axiom)
+        raise InvalidArguments(f"unknown axiom {axiom!r}")
 
     def merged(self, other: "AxiomReport") -> "AxiomReport":
         return AxiomReport(self.entries + other.entries)
@@ -220,7 +217,7 @@ class _Run:
         self.cap = samples
         if levels is None:
             levels = range(cat.max_level + 1)
-        self.levels = [l for l in levels if l >= low]
+        self.levels = [l for l in levels if type(l) is not int or l >= low]  # cells() rejects a non-int
         # the tables see ids and cell, never self: a run is freed without the cycle collector
         ids = self.ids = _Ids()
         cell = self.cell = ids.cell

@@ -15,7 +15,7 @@ step in validate_flow_data so one bad dimension does not hide another.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateId, SchemaError, UnknownId
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CritPoint:
+class CritPoint(NamedTuple):
     id: str
     index: int
     level: int  # 0 for base points, else the home space's level
@@ -40,8 +39,7 @@ class CritPoint:
     component: "str | None"
 
 
-@dataclass(frozen=True)
-class ModuliSpace:
+class ModuliSpace(NamedTuple):
     source: str
     target: str
     level: int
@@ -217,24 +215,17 @@ def parse_flow_data(text: str) -> FlowData:
     return FlowData(name, max_level, points, spaces)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     check: str
     subject: str
     passed: bool
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[ValidationCheck, ...]
 
     @property

@@ -17,7 +17,7 @@ compare against; its image table is transcribed, not computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .flowdata import FlowData, parse_flow_data
 
@@ -117,11 +117,10 @@ def torus_flow_data() -> FlowData:
     return parse_flow_data(json.dumps(torus_document()))
 
 
-@dataclass(frozen=True)
-class TorusExpected:
-    counts: dict = field(default_factory=dict)
-    g_table: dict = field(default_factory=dict)  #  rendered cell -> rendered image
-    pair_counts: dict = field(default_factory=dict)
+class TorusExpected(NamedTuple):
+    counts: dict
+    g_table: dict  #  rendered cell -> rendered image
+    pair_counts: dict
     listed_x0_pairs: tuple = ()  # (inner, outer) renders known by hand
 
 

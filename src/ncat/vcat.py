@@ -8,7 +8,7 @@ equality of the underlying dimension data.  All operations delegate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArguments
 from .wcat import (
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class VCell:
+class VCell(NamedTuple):
     """dims is a WCell, or a bare int for level-0 cells."""
 
     dims: "WCell | int"

@@ -20,7 +20,7 @@ category laws hold for W with literal equality of cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConstraintViolation, InvalidArguments, NoSource, NotComposable
 
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class WCell:
+class WCell(NamedTuple):
     """A level >= 1 cell: head entry plus top-down spine of (i, j) pairs."""
 
     head: int
@@ -206,6 +205,8 @@ def w_enumerate(level: int, bound: int) -> list:
     """All cells of the given level with every entry <= bound, sorted
     lexicographically by (head, spine).  Level 0 gives bare integers.
     """
+    if type(level) is not int or type(bound) is not int:  # a bool is no integer here, as in the parser
+        raise InvalidArguments(f"level and bound must be integers, got {level!r} and {bound!r}")
     if level < 0 or bound < 0:
         raise InvalidArguments("level and bound must be non-negative")
     if level == 0:
@@ -222,7 +223,7 @@ def w_enumerate(level: int, bound: int) -> list:
             else:
                 for head in range(min(i - j - 1, bound) + 1):
                     out.append(WCell(head, ((i, j),) + rest))
-    out.sort(key=lambda c: (c.head, c.spine))
+    out.sort()
     return out
 
 
@@ -248,7 +249,7 @@ class WCategory:
         self.bound = bound
 
     def cells(self, level: int) -> list:
-        if level > self.max_level:
+        if type(level) is int and level > self.max_level:
             return []
         return w_enumerate(level, self.bound)
 

@@ -9,14 +9,15 @@ Cells are critical points remembered by *label*:
 An XCell is a head label plus a spine of (source, target) label pairs,
 top-down, recording which moduli space tower the point lives over.  The
 category is almost strict: the laws hold after normalizing labels with a
-small confluent rewrite system (see normalize).
+small rewrite system (see normalize), confluent on the labels composition
+produces but not in general.
 
 Every label X builds is normal by construction: enumerated cells carry
 atoms and diagonals of atoms, and x_compose glues two normal labels with
 glue, which absorbs a diagonal at the seam at once and rewrites any other
-pair's pieces without normalizing either half again.  Labels and cells
-are tagged tuples, so hashing, equality and sorting run in C, and a cell
-is its own sort key.
+pair's pieces without normalizing either half again.  Labels are tagged
+tuples and cells named tuples, so hashing, equality and sorting run in C,
+and a cell is its own sort key.
 
 XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import warnings
 from operator import itemgetter
+from typing import NamedTuple
 
 from .axioms import composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
@@ -138,10 +140,10 @@ def normalize(x, fd: "FlowData | None" = None):
 
     (4) carries the side condition that the block is point_like — which is
     exactly when the repetition came from gluing along a diagonal — and
-    that keeps every rewrite index-neutral.  On labels that arise from
-    composing cells over a document the system is confluent; the pipeline
-    below applies the rules in one fixed order and reaches the same form
-    as any other exhaustive strategy (tested with randomized rewriting).
+    that keeps every rewrite index-neutral.  The system is not confluent on
+    all labels, but it is on those that arise from composing cells over a
+    document: there the fixed rule order below reaches the form any other
+    exhaustive strategy does (tested with randomized rewriting).
 
     It runs in two steps: normalize the parts and flatten them (1), then
     rewrite the flat list of normal pieces with (2)-(4) (_rewrite).
@@ -210,23 +212,16 @@ def _collapse(parts: list, fd) -> list:
     return parts
 
 
-class XCell(tuple):
-    """head label over a top-down spine of (source, target) label pairs: the
-    tuple (head, spine), so cells sort by head, then spine."""
+class XCell(NamedTuple):
+    """A head label over a top-down spine of (source, target) label pairs,
+    as the named tuple (head, spine): cells sort by head, then spine."""
 
-    __slots__ = ()
-    head = property(itemgetter(0))
-    spine = property(itemgetter(1))
-    level = property(lambda self: len(self[1]))
+    head: Label
+    spine: tuple
 
-    def __new__(cls, head, spine):
-        return tuple.__new__(cls, (head, spine))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"XCell(head={self[0]!r}, spine={self[1]!r})"
+    @property
+    def level(self) -> int:
+        return len(self.spine)
 
     def __str__(self) -> str:
         return x_render(self)
@@ -368,6 +363,8 @@ class XCategory:
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
         none (the diagonal tower is not materialized); a warning says so."""
+        if type(level) is not int:  # a bool is no level, as in the parser
+            raise InvalidArguments(f"level must be an integer, got {level!r}")
         if level < 0:
             raise InvalidArguments("level must be non-negative")
         if level > self.max_level:

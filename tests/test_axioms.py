@@ -366,6 +366,22 @@ def test_negative_samples_are_invalid_arguments():
         check_axioms(WCategory(max_level=1, bound=2), samples=-1)
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])
+@pytest.mark.parametrize("cat", [WCategory(max_level=2, bound=2), VCategory(max_level=2, bound=2)], ids=["w", "v"])
+def test_non_int_level_is_invalid_arguments(cat, bad):
+    with pytest.raises(InvalidArguments, match="must be integers"):
+        check_axioms(cat, levels=[bad])
+    with pytest.raises(InvalidArguments, match="must be integers"):
+        check_globularity(cat, levels=[bad])
+
+
+def test_unknown_axiom_entry_is_invalid_arguments():
+    report = check_axioms(WCategory(max_level=1, bound=2))
+    assert report.entry("assoc").axiom == "assoc"
+    with pytest.raises(InvalidArguments, match="unknown axiom 'associativity'"):
+        report.entry("associativity")
+
+
 def test_raising_chain_walk_is_a_comp_st_witness():
     # target raises on every level-1 cell, so no level-1 cell has a depth-0
     # t-chain and no level-2 cell a depth-0 chain: each is one comp-st

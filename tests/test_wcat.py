@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncat.errors import ConstraintViolation, InvalidArguments, NoSource, NotComposable
 from ncat.wcat import (
+    WCategory,
     WCell,
     w_compose,
     w_composable,
@@ -248,6 +249,23 @@ def test_enumerate_level_one_bound_two_membership():
 def test_enumerate_is_sorted():
     out = w_enumerate(2, 3)
     assert out == sorted(out, key=lambda q: (q.head, q.spine))
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])
+def test_enumerate_rejects_a_non_int_level_or_bound(bad):
+    # a float level used to recurse through 0.5, -0.5, ... to RecursionError,
+    # and True was taken for 1
+    for level, bound in ((bad, 2), (2, bad)):
+        with pytest.raises(InvalidArguments, match="must be integers"):
+            w_enumerate(level, bound)
+    with pytest.raises(InvalidArguments, match="must be integers"):
+        WCategory(max_level=2, bound=2).cells(bad)
+
+
+def test_enumerate_keeps_the_negative_message():
+    for level, bound in ((-1, 2), (2, -1)):
+        with pytest.raises(InvalidArguments, match="^level and bound must be non-negative$"):
+            w_enumerate(level, bound)
 
 
 def test_enumerate_closed_under_boundaries():

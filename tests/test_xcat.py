@@ -313,6 +313,63 @@ def test_prop_glue_of_normal_labels_matches_reference(u, v, fd):
     assert glue(normalize(u, fd), normalize(v, fd), fd) == reference_normalize(Seq((u, v)), fd)
 
 
+# -------------------- the rewrite system is not confluent on general labels
+
+def normal_forms(x, fd):
+    """Every rewrite-normal label that raw rewriting can reach from x."""
+    seen, todo = {x}, [x]
+    while todo:
+        for y in rewrite_options(todo.pop(), fd):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return {y for y in seen if not rewrite_options(y, fd)}
+
+
+def seam_window_merge(u, v, fd):
+    """Glue normal u and v by pushing v's pieces one at a time onto u's and
+    collapsing a repeated point-like block at the top after each push: the
+    seam-window plan, on labels with no diagonal pieces."""
+    stack = list(xcat._pieces(u))
+    for piece in xcat._pieces(v):
+        stack.append(piece)
+        k = 1
+        while 2 * k <= len(stack):
+            block = stack[-k:]
+            if stack[-2 * k : -k] == block and all(point_like(p, fd) for p in block):
+                del stack[-k:]
+                k = 1
+            else:
+                k += 1
+    return stack[0] if len(stack) == 1 else Seq(tuple(stack))
+
+
+def test_diagonals_reach_two_normal_forms():
+    w, x = atom("w"), atom("x")
+    label = seq(Pt(w), Pt(x), Pt(w), Pt(x))
+    fused = Pt(seq(w, x, w, x))  # rule (3) first: base points are not point-like
+    assert normalize(label, FD) == Pt(seq(w, x)) == reference_normalize(label, FD)
+    assert fused in rewrite_options(label, FD) and rewrite_options(fused, FD) == []
+    assert normal_forms(label, FD) == {Pt(seq(w, x)), fused}
+    folded = Pt(w)
+    for part in (Pt(x), Pt(w), Pt(x)):
+        folded = glue(folded, part, FD)
+    assert folded == fused  # a left fold of glue gives the other form
+
+
+def test_point_like_atoms_reach_two_normal_forms():
+    a, b, c = atom("wx_d"), atom("xz_d"), atom("wy_d")
+    label = seq(a, b, c, b, a, b, c, b, c)
+    seven, three = seq(a, b, c, b, a, b, c), seq(a, b, c)
+    assert normalize(label, FD) == seven == reference_normalize(label, FD)
+    assert normal_forms(label, FD) == {seven, three}
+    u, v = seq(a, b, c, b, a, b), seq(c, b, c)
+    assert normalize(u, FD) == u and normalize(v, FD) == v
+    # collapsing only at the seam finds (a, b, c, b)(a, b, c, b) first
+    assert seam_window_merge(u, v, FD) == three
+    assert glue(u, v, FD) == seven == reference_normalize(Seq((u, v)), FD)
+
+
 # ------------------------------- tuple order and equality against the key
 
 def cell_trees(ids):
@@ -695,6 +752,29 @@ def test_cell_counts():
 def test_cells_above_max_level_warn_and_are_empty():
     with pytest.warns(UserWarning):
         assert x_cells(FD, 3) == []
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])
+def test_non_int_level_is_invalid_arguments(bad):
+    # 1.5 used to recurse through levels 0.5, -0.5, ... to RecursionError,
+    # "1" raised TypeError, and True was taken for level 1
+    calls = [
+        lambda: XCategory(FD).cells(bad),
+        lambda: XCategory(FD, True).cells(bad),
+        lambda: x_cells(FD, bad),
+        lambda: XCategory(FD).pairs(bad, 0),
+        lambda: x_composable_pairs(FD, bad, 0, include_composites=True),
+        lambda: check_axioms(XCategory(FD, True), levels=[bad]),
+        lambda: check_globularity(XCategory(FD), levels=[bad]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArguments, match="level must be an integer"):
+            call()
+
+
+def test_negative_level_keeps_its_message():
+    with pytest.raises(InvalidArguments, match="^level must be non-negative$"):
+        x_cells(FD, -1)
 
 
 def test_cells_are_sorted_and_deterministic():
