@@ -105,14 +105,22 @@ class AxiomReport(NamedTuple):
 def composable(cat, p: int, a, c) -> bool:
     """True iff ``c o_p a`` is defined: the depth-p target chain of the
     inner cell meets the depth-p source chain of the outer one."""
-    la, lc = cat.level_of(a), cat.level_of(c)
-    if la != lc:
-        raise InvalidArguments(f"levels differ: {la} vs {lc}")
-    if not 0 <= p < la:
-        raise InvalidArguments(f"depth p={p} out of range for level {la}")
+    la = _depth(p, cat.level_of(a), cat.level_of(c))
     run = _Run(cat, 0, None, ())
     k = la - p
     return _ok(run.chain(run.ids[a], run.target, k)) == _ok(run.chain(run.ids[c], run.source, k))
+
+
+def _depth(p, la: int, lc: int) -> int:
+    """The level of a depth-p composite of cells at levels la and lc: the one
+    check that the levels agree and that p is a depth below them."""
+    if la != lc:
+        raise InvalidArguments(f"levels differ: {la} vs {lc}")
+    if type(p) is not int:  # a bool is no depth, as it is no level
+        raise InvalidArguments(f"depth must be an integer, got {p!r}")
+    if not 0 <= p < la:
+        raise InvalidArguments(f"depth p={p} out of range for level {la}")
+    return la
 
 
 def composable_pairs(chain, p, inner, outer):
@@ -211,6 +219,8 @@ class _Run:
     """
 
     def __init__(self, cat, seed, samples, levels, low=0):
+        if samples is not None and type(samples) is not int:  # a bool is no count
+            raise InvalidArguments(f"samples must be an integer or None, got {samples!r}")
         if samples is not None and samples < 0:
             raise InvalidArguments(f"samples must be non-negative, got {samples}")
         self.cat = cat

@@ -148,7 +148,7 @@ def parse_flow_data(text: str) -> FlowData:
     """Parse and structurally check a JSON flow-data document."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # also too deep, or an over-long integer
+    except (ValueError, RecursionError, TypeError) as e:  # also too deep, an over-long integer, or no text
         raise SchemaError("$", f"invalid JSON: {e}") from None
 
     name, max_level, base_points, moduli = _object(

@@ -85,24 +85,15 @@ def v_render(v: VCell) -> str:
 
 class VCategory(WCategory):
     """V behind the generic category interface: W's cells, levels and
-    normal forms, each cell wrapped as a VCell."""
+    normal forms, each cell wrapped as a VCell, and the v_ functions."""
 
     name = "v"
 
     def cells(self, level: int) -> list:
         return [VCell(q) for q in super().cells(level)]
 
-    def source(self, cell):
-        return v_source(cell)
-
-    def target(self, cell):
-        return v_target(cell)
-
-    def identity(self, cell):
-        return v_identity(cell)
-
-    def compose(self, p, a, c):
-        return v_compose(p, a, c)
-
-    def render(self, cell) -> str:
-        return v_render(cell)
+    source = staticmethod(v_source)
+    target = staticmethod(v_target)
+    identity = staticmethod(v_identity)
+    compose = staticmethod(v_compose)
+    render = staticmethod(v_render)

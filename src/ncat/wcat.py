@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .axioms import _depth
 from .errors import ConstraintViolation, InvalidArguments, NoSource, NotComposable
 
 __all__ = [
@@ -68,11 +69,16 @@ def w_make(head: int, spine) -> WCell:
 
     Raises ConstraintViolation naming the offending level otherwise.
     """
-    pairs = []
-    for pos, pair in enumerate(spine):
-        if len(pair) != 2:
-            raise ConstraintViolation(f"spine entry {pos} is not a pair")
-        pairs.append(tuple(pair))
+    pairs, pos = [], -1
+    try:  # one handler, not a type test per pair: functor_g makes every cell it maps here
+        for pos, pair in enumerate(spine):
+            if len(pair) != 2:
+                raise TypeError  # a sequence of another length is no pair either
+            pairs.append(tuple(pair))
+    except TypeError:  # pos < 0: the spine itself is no sequence
+        if pos < 0:
+            raise ConstraintViolation(f"spine must be a sequence of pairs, got {spine!r}") from None
+        raise ConstraintViolation(f"spine entry {pos} is not a pair") from None
     level = len(pairs)
     if level == 0:
         raise ConstraintViolation("spine must be non-empty; level-0 cells are bare integers")
@@ -106,26 +112,22 @@ def _require_cell(q) -> WCell:
     return q
 
 
+def _face(q: WCell, side: int, name: str):
+    """Drop the head, promote the top pair's entry at side (0: i, 1: j)."""
+    if isinstance(q, int):
+        raise NoSource(f"level-0 cells have no {name}")
+    entry = _require_cell(q).spine[0][side]
+    return entry if q.level == 1 else WCell(entry, q.spine[1:])
+
+
 def w_source(q: WCell):
     """Drop the head, promote i_{l-1}.  At level 1 this is a bare integer."""
-    if isinstance(q, int):
-        raise NoSource("level-0 cells have no source")
-    _require_cell(q)
-    i, _ = q.spine[0]
-    if q.level == 1:
-        return i
-    return WCell(i, q.spine[1:])
+    return _face(q, 0, "source")
 
 
 def w_target(q: WCell):
     """Drop the head, promote j_{l-1}.  At level 1 this is a bare integer."""
-    if isinstance(q, int):
-        raise NoSource("level-0 cells have no target")
-    _require_cell(q)
-    _, j = q.spine[0]
-    if q.level == 1:
-        return j
-    return WCell(j, q.spine[1:])
+    return _face(q, 1, "target")
 
 
 def w_identity(q) -> WCell:
@@ -148,19 +150,14 @@ def w_composable(p: int, q, r) -> bool:
     return True
 
 
-def _check_composable(p: int, q: WCell, r: WCell) -> None:
-    _require_cell(q)
-    _require_cell(r)
-    l = q.level
-    if r.level != l:
-        raise InvalidArguments(f"levels differ: {l} vs {r.level}")
-    if not 0 <= p < l:
-        raise InvalidArguments(f"depth p={p} out of range for level {l}")
-    top = l - 1 - p
+def _check_composable(p: int, q: WCell, r: WCell) -> int:
+    """Raise unless ``r o_p q`` is defined; the spine position of depth p."""
+    top = _depth(p, _require_cell(q).level, _require_cell(r).level) - 1 - p
     if q.spine[top][1] != r.spine[top][0]:
         raise NotComposable(p, f"j_p of inner is {q.spine[top][1]}, i_p of outer is {r.spine[top][0]}")
     if q.spine[top + 1 :] != r.spine[top + 1 :]:
         raise NotComposable(p, "spines below p differ")
+    return top
 
 
 def w_compose(p: int, q: WCell, r: WCell) -> WCell:
@@ -174,9 +171,7 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     were invalid to begin with (a broken category's composites, say) can
     fail it, and those go through w_make for its error.
     """
-    _check_composable(p, q, r)
-    l = q.level
-    top = l - 1 - p
+    top = _check_composable(p, q, r)
     head = q.head + r.head
     spine = [
         (q.spine[pos][0] + r.spine[pos][0], q.spine[pos][1] + r.spine[pos][1])
@@ -239,7 +234,8 @@ def w_render(q) -> str:
 
 class WCategory:
     """W packaged behind the generic category interface used by the
-    axiom engine.  ``bound`` caps the entries that cells() enumerates.
+    axiom engine: source, target, identity, compose and render are the
+    module's functions.  ``bound`` caps the entries that cells() enumerates.
     """
 
     name = "w"
@@ -256,20 +252,11 @@ class WCategory:
     def level_of(self, cell) -> int:
         return 0 if isinstance(cell, int) else cell.level
 
-    def source(self, cell):
-        return w_source(cell)
-
-    def target(self, cell):
-        return w_target(cell)
-
-    def identity(self, cell):
-        return w_identity(cell)
-
-    def compose(self, p, a, c):
-        return w_compose(p, a, c)
+    source = staticmethod(w_source)
+    target = staticmethod(w_target)
+    identity = staticmethod(w_identity)
+    compose = staticmethod(w_compose)
+    render = staticmethod(w_render)
 
     def normalize(self, cell):
         return cell  # W's laws hold literally
-
-    def render(self, cell) -> str:
-        return w_render(cell)

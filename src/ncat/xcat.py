@@ -37,7 +37,7 @@ import warnings
 from operator import itemgetter
 from typing import NamedTuple
 
-from .axioms import composable_pairs
+from .axioms import _depth, composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -234,16 +234,19 @@ def x_render(cell: XCell) -> str:
     return f"({cell.head}; {pairs})"
 
 
-def x_source(cell: XCell) -> XCell:
+def _face(cell: XCell, side: int, name: str) -> XCell:
+    """The top pair's label at side (0: source, 1: target) over the rest of the spine."""
     if cell.level == 0:
-        raise NoSource("level-0 cells have no source")
-    return XCell(cell.spine[0][0], cell.spine[1:])
+        raise NoSource(f"level-0 cells have no {name}")
+    return XCell(cell.spine[0][side], cell.spine[1:])
+
+
+def x_source(cell: XCell) -> XCell:
+    return _face(cell, 0, "source")
 
 
 def x_target(cell: XCell) -> XCell:
-    if cell.level == 0:
-        raise NoSource("level-0 cells have no target")
-    return XCell(cell.spine[0][1], cell.spine[1:])
+    return _face(cell, 1, "target")
 
 
 def x_identity(cell: XCell) -> XCell:
@@ -259,11 +262,7 @@ def _chain_key(cell: XCell, p: int, side: int) -> tuple:
 
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
-    l = a.level
-    if c.level != l:
-        raise InvalidArguments(f"levels differ: {l} vs {c.level}")
-    if not 0 <= p < l:
-        raise InvalidArguments(f"depth p={p} out of range for level {l}")
+    _depth(p, a.level, c.level)
     return _chain_key(a, p, 1) == _chain_key(c, p, 0)
 
 
@@ -348,7 +347,8 @@ class XCategory:
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
     out copies so callers cannot change the cache.  compose() reads the
-    composite table the closure filled and glues only pairs not in it."""
+    composite table the closure filled and glues only pairs not in it;
+    source, target, identity and render are the module's functions."""
 
     name = "x"
 
@@ -407,21 +407,17 @@ class XCategory:
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""
         cells = self.cells(level)
-        if cells and not 0 <= p < level:
-            raise InvalidArguments(f"depth p={p} out of range for level {level}")
+        if cells:
+            _depth(p, level, level)
         return list(composable_pairs(_chain_key, p, cells, cells))
 
     def level_of(self, cell) -> int:
         return cell.level
 
-    def source(self, cell):
-        return x_source(cell)
-
-    def target(self, cell):
-        return x_target(cell)
-
-    def identity(self, cell):
-        return x_identity(cell)
+    source = staticmethod(x_source)
+    target = staticmethod(x_target)
+    identity = staticmethod(x_identity)
+    render = staticmethod(x_render)
 
     def compose(self, p, a, c):
         return self._composites.get((p, a, c)) or x_compose(self.fd, p, a, c)
@@ -429,6 +425,3 @@ class XCategory:
     def normalize(self, cell):
         n = lambda lab: normalize(lab, self.fd)
         return XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
-
-    def render(self, cell) -> str:
-        return x_render(cell)

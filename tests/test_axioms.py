@@ -364,6 +364,12 @@ def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
 def test_negative_samples_are_invalid_arguments():
     with pytest.raises(InvalidArguments):
         check_axioms(WCategory(max_level=1, bound=2), samples=-1)
+    # "3" raised TypeError, 1.5 failed inside random.sample, and True meant 1
+    for bad in ("3", 1.5, True, False):
+        with pytest.raises(InvalidArguments, match=f"^samples must be an integer or None, got {bad!r}$"):
+            check_axioms(WCategory(max_level=1, bound=2), samples=bad)
+    with pytest.raises(InvalidArguments, match="^samples must be non-negative, got -1$"):
+        check_axioms(WCategory(max_level=1, bound=2), samples=-1)
 
 
 @pytest.mark.parametrize("bad", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])

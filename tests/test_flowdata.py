@@ -420,7 +420,9 @@ def test_every_field_is_type_checked(path, value, where, reason):
 
 
 @pytest.mark.parametrize(
-    "text", ["[" * 100_000, '{"name": ' + "1" * 5000 + "}"], ids=["deep", "long-integer"]
+    "text",
+    ["[" * 100_000, '{"name": ' + "1" * 5000 + "}", None, 5, {"name": "t"}],
+    ids=["deep", "long-integer", "none", "number", "object"],
 )
 def test_unreadable_json_is_a_schema_error(text):
     with pytest.raises(SchemaError) as e:

@@ -1,0 +1,144 @@
+"""The category protocol shared by W, V and X: each class binds its module's
+functions, and one depth check guards every composability entry point."""
+
+import pytest
+
+from ncat.axioms import composable
+from ncat.errors import InvalidArguments, NoSource
+from ncat.torus import torus_flow_data
+from ncat.vcat import VCategory, VCell, v_compose, v_identity, v_render, v_source, v_target
+from ncat.wcat import WCategory, w_compose, w_composable, w_identity, w_make, w_render, w_source, w_target
+from ncat.xcat import (
+    Atom,
+    XCategory,
+    XCell,
+    x_cells,
+    x_composable,
+    x_composable_pairs,
+    x_compose,
+    x_identity,
+    x_render,
+    x_source,
+    x_target,
+)
+
+FD = torus_flow_data()
+W1 = w_make(0, [(2, 1)])
+W2 = w_make(0, [(0, 0), (2, 1)])
+X1 = x_cells(FD, 1)[0]
+X2 = x_cells(FD, 2)[0]
+
+
+@pytest.mark.parametrize(
+    "cls, name, fn",
+    [
+        (WCategory, "source", w_source),
+        (WCategory, "target", w_target),
+        (WCategory, "identity", w_identity),
+        (WCategory, "compose", w_compose),
+        (WCategory, "render", w_render),
+        (VCategory, "source", v_source),
+        (VCategory, "target", v_target),
+        (VCategory, "identity", v_identity),
+        (VCategory, "compose", v_compose),
+        (VCategory, "render", v_render),
+        (XCategory, "source", x_source),
+        (XCategory, "target", x_target),
+        (XCategory, "identity", x_identity),
+        (XCategory, "render", x_render),
+    ],
+)
+def test_category_binds_its_module_function(cls, name, fn):
+    assert getattr(cls, name) is fn
+
+
+# every entry point that takes a depth p, called on level-1 cells, and a level-2
+# cell to put in the place of the outer one (None where the call takes a level)
+DEPTH_CALLS = {
+    "w_compose": (lambda p, a=W1, c=W1: w_compose(p, a, c), W2),
+    "w_composable": (lambda p, a=W1, c=W1: w_composable(p, a, c), W2),
+    "v_compose": (lambda p, a=W1, c=W1: v_compose(p, VCell(a), VCell(c)), W2),
+    "composable-w": (lambda p, a=W1, c=W1: composable(WCategory(), p, a, c), W2),
+    "composable-v": (lambda p, a=W1, c=W1: composable(VCategory(), p, VCell(a), VCell(c)), W2),
+    "x_compose": (lambda p, a=X1, c=X1: x_compose(FD, p, a, c), X2),
+    "x_composable": (lambda p, a=X1, c=X1: x_composable(p, a, c), X2),
+    "composable-x": (lambda p, a=X1, c=X1: composable(XCategory(FD), p, a, c), X2),
+    "XCategory.pairs": (lambda p: XCategory(FD).pairs(1, p), None),
+    "x_composable_pairs": (lambda p: x_composable_pairs(FD, 1, p), None),
+    "x_composable_pairs-closed": (lambda p: x_composable_pairs(FD, 1, p, include_composites=True), None),
+}
+
+
+@pytest.mark.parametrize("bad", ["0", 0.0, 1.5, True, False, None], ids=["str", "zero-float", "float", "true", "false", "none"])
+@pytest.mark.parametrize("call", sorted(DEPTH_CALLS))
+def test_non_int_depth_is_invalid_arguments(call, bad):
+    # "0" and 1.5 used to raise TypeError, and True composed at depth 1
+    with pytest.raises(InvalidArguments, match=f"^depth must be an integer, got {bad!r}$"):
+        DEPTH_CALLS[call][0](bad)
+
+
+@pytest.mark.parametrize("call", sorted(DEPTH_CALLS))
+def test_depth_check_keeps_its_messages(call):
+    fn, other = DEPTH_CALLS[call]
+    for p in (1, -1):
+        with pytest.raises(InvalidArguments, match=rf"^depth p={p} out of range for level 1$"):
+            fn(p)
+    if other is not None:
+        with pytest.raises(InvalidArguments, match="^levels differ: 1 vs 2$"):
+            fn(0, c=other)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: w_identity(True), "expected a cell, got a bool"),
+        (lambda: w_source("x"), "expected a WCell, got 'x'"),
+        (lambda: w_target(W1.spine), "expected a WCell, got ((2, 1),)"),
+        (lambda: w_render(1.5), "expected a WCell, got 1.5"),
+        (lambda: w_compose(0, W1, "x"), "expected a WCell, got 'x'"),
+    ],
+    ids=["identity-of-bool", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str"],
+)
+def test_w_argument_errors_keep_their_text(call, message):
+    with pytest.raises(InvalidArguments) as e:
+        call()
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "face, cell, name",
+    [
+        (w_source, 2, "source"),
+        (w_target, 0, "target"),
+        (v_source, VCell(2), "source"),
+        (v_target, VCell(0), "target"),
+        (x_source, XCell(Atom("w"), ()), "source"),
+        (x_target, XCell(Atom("w"), ()), "target"),
+    ],
+    ids=["w-source", "w-target", "v-source", "v-target", "x-source", "x-target"],
+)
+def test_level_zero_cells_have_no_faces(face, cell, name):
+    with pytest.raises(NoSource) as e:
+        face(cell)
+    assert str(e.value) == f"level-0 cells have no {name}"
+
+
+@pytest.mark.parametrize("cls", [WCategory, VCategory])
+def test_w_and_v_cells_above_max_level_are_empty(cls):
+    cat = cls(max_level=1, bound=2)
+    assert len(cat.cells(1)) == 7
+    assert cat.cells(2) == [] and cat.cells(5) == []
+
+
+@pytest.mark.parametrize(
+    "cat, cells",
+    [
+        (WCategory(), [2, W1, W2]),
+        (VCategory(), [VCell(2), VCell(W1), VCell(W2)]),
+        (XCategory(FD), [x_cells(FD, 0)[0], X1, X2]),
+    ],
+    ids=["w", "v", "x"],
+)
+def test_level_of_is_the_spine_length(cat, cells):
+    assert [cat.level_of(x) for x in cells] == [0, 1, 2]
+    assert [x.level for x in cells[1:]] == [1, 2]

@@ -82,9 +82,19 @@ def test_make_rejects_negatives_and_nonints():
         (lambda: w_make(1, [(2, 1)]), "level 0: entry above level 0 must be < i_0-j_0=1, got 1", 0),
         (lambda: w_make(0, []), "spine must be non-empty; level-0 cells are bare integers", None),
         (lambda: w_identity(-1), "cell must be non-negative, got -1", None),
+        (lambda: w_make(0, 5), "spine must be a sequence of pairs, got 5", None),
+        (lambda: w_make(0, None), "spine must be a sequence of pairs, got None", None),
+        (lambda: w_make(0, [5]), "spine entry 0 is not a pair", None),
+        (lambda: w_make(0, [(2, 1), (3, 0, 0)]), "spine entry 1 is not a pair", None),
+        (
+            lambda: w_compose(0, WCell(5, ((1, 0),)), WCell(0, ((0, 0),))),
+            "level 0: entry above level 0 must be < i_0-j_0=1, got 5",
+            0,
+        ),
     ],
     ids=["head", "bool", "negative-i", "non-int-j", "j-above-i", "degenerate", "bound",
-         "empty-spine", "identity-of-negative"],
+         "empty-spine", "identity-of-negative", "spine-number", "spine-none", "entry-number",
+         "entry-triple", "compose-invalid-operand"],
 )
 def test_make_error_text(make, message, level):
     with pytest.raises(ConstraintViolation) as e:
