@@ -60,15 +60,15 @@ def v_to_w(v: VCell):
 
 
 def v_source(v: VCell) -> VCell:
-    return VCell(w_source(v.dims))
+    return VCell(w_source(v_to_w(v)))
 
 
 def v_target(v: VCell) -> VCell:
-    return VCell(w_target(v.dims))
+    return VCell(w_target(v_to_w(v)))
 
 
 def v_identity(v: VCell) -> VCell:
-    return VCell(w_identity(v.dims))
+    return VCell(w_identity(v_to_w(v)))
 
 
 def v_compose(p: int, a: VCell, c: VCell) -> VCell:
@@ -77,10 +77,11 @@ def v_compose(p: int, a: VCell, c: VCell) -> VCell:
 
 def v_render(v: VCell) -> str:
     """``R^h`` at level 0, else ``(R^h, Hom(R^i, R^j), ...)`` top-down."""
-    if isinstance(v.dims, int):
-        return f"R^{v.dims}"
-    homs = ", ".join(f"Hom(R^{i},R^{j})" for i, j in v.dims.spine)
-    return f"(R^{v.dims.head}, {homs})"
+    dims = v_to_w(v)
+    if isinstance(dims, int):
+        return f"R^{dims}"
+    homs = ", ".join(f"Hom(R^{i},R^{j})" for i, j in dims.spine)
+    return f"(R^{dims.head}, {homs})"
 
 
 class VCategory(WCategory):
@@ -91,6 +92,9 @@ class VCategory(WCategory):
 
     def cells(self, level: int) -> list:
         return [VCell(q) for q in super().cells(level)]
+
+    def level_of(self, cell) -> int:
+        return super().level_of(v_to_w(cell))
 
     source = staticmethod(v_source)
     target = staticmethod(v_target)

@@ -79,19 +79,25 @@ def w_make(head: int, spine) -> WCell:
         if pos < 0:
             raise ConstraintViolation(f"spine must be a sequence of pairs, got {spine!r}") from None
         raise ConstraintViolation(f"spine entry {pos} is not a pair") from None
-    level = len(pairs)
-    if level == 0:
+    if not pairs:
         raise ConstraintViolation("spine must be non-empty; level-0 cells are bare integers")
-    _as_entry(head, "head")
-    for pos, (i, j) in enumerate(pairs):
-        k = level - 1 - pos  # the level this pair sits at
+    return _checked(head, tuple(pairs))
+
+
+def _checked(head, spine: tuple) -> WCell:
+    """The cell (head, spine) once its entries meet the constraints: the one
+    check, for w_make's cells and w_compose's composites alike."""
+    if type(head) is not int or head < 0:
+        _as_entry(head, "head")
+    above, k = head, len(spine)
+    for i, j in spine:
+        k -= 1  # the level this pair sits at
         if not (type(i) is type(j) is int and i >= 0 and j >= 0):
             # the full check names the entry, so its label is formatted only here
             _as_entry(i, f"i_{k}")
             _as_entry(j, f"j_{k}")
         if j > i:
             raise ConstraintViolation(f"j_{k}={j} exceeds i_{k}={i}", level=k)
-        above = head if pos == 0 else pairs[pos - 1][0]
         if i == j:
             if above != 0:
                 raise ConstraintViolation(
@@ -103,7 +109,8 @@ def w_make(head: int, spine) -> WCell:
                 f"entry above level {k} must be < i_{k}-j_{k}={i - j}, got {above}",
                 level=k,
             )
-    return WCell(head, tuple(pairs))
+        above = i
+    return WCell(head, spine)
 
 
 def _require_cell(q) -> WCell:
@@ -164,36 +171,24 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     """The composite ``r o_p q``: heads and entries above p add, the pairs
     at p splice to (i_p of q, j_p of r), everything below p is shared.
 
-    The result always satisfies the cell constraints again: above any
-    non-degenerate level both strict bounds add, and a degenerate level
-    forces both summands above it to be 0.  So the cell is built
-    directly, after one plain pass over its entries: only cells that
-    were invalid to begin with (a broken category's composites, say) can
-    fail it, and those go through w_make for its error.
+    The composite goes through the one constraint check.  It always passes
+    for valid operands: above any non-degenerate level both strict bounds
+    add, and a degenerate level forces both summands above it to be 0.
     """
     top = _check_composable(p, q, r)
-    head = q.head + r.head
-    spine = [
-        (q.spine[pos][0] + r.spine[pos][0], q.spine[pos][1] + r.spine[pos][1])
-        for pos in range(top)
-    ]
+    try:
+        head = q.head + r.head
+        spine = [
+            (q.spine[pos][0] + r.spine[pos][0], q.spine[pos][1] + r.spine[pos][1])
+            for pos in range(top)
+        ]
+    except TypeError:  # a hand-built operand with an entry that does not add
+        for operand in (q, r):
+            _checked(*operand)  # raises, naming the entry
+        raise
     spine.append((q.spine[top][0], r.spine[top][1]))
     spine.extend(q.spine[top + 1 :])
-    if not _valid(head, spine):
-        return w_make(head, spine)  # raises, naming the violated constraint
-    return WCell(head, tuple(spine))
-
-
-def _valid(head, spine) -> bool:
-    """w_make's constraints as a predicate, integer entries only."""
-    above = head
-    for i, j in spine:
-        if type(i) is not int or type(j) is not int or not 0 <= j <= i:
-            return False
-        if (above != 0) if i == j else (above >= i - j):
-            return False
-        above = i
-    return type(head) is int and head >= 0
+    return _checked(head, tuple(spine))
 
 
 def w_enumerate(level: int, bound: int) -> list:
@@ -250,7 +245,7 @@ class WCategory:
         return w_enumerate(level, self.bound)
 
     def level_of(self, cell) -> int:
-        return 0 if isinstance(cell, int) else cell.level
+        return 0 if isinstance(cell, int) else _require_cell(cell).level
 
     source = staticmethod(w_source)
     target = staticmethod(w_target)

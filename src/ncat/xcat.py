@@ -13,7 +13,7 @@ small rewrite system (see normalize), confluent on the labels composition
 produces but not in general.
 
 Every label X builds is normal by construction: enumerated cells carry
-atoms and diagonals of atoms, and x_compose glues two normal labels with
+atoms and diagonals of atoms, and composition glues two normal labels with
 glue, which absorbs a diagonal at the seam at once and rewrites any other
 pair's pieces without normalizing either half again.  Labels are tagged
 tuples and cells named tuples, so hashing, equality and sorting run in C,
@@ -28,7 +28,8 @@ closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  The
 closure fills its composite table, keyed (p, a, c), which compose reads
 first, and glues each label pair with no diagonal once, through its table
-keyed (u, v).  x_compose on a bare document uses neither table.
+keyed (u, v).  compose is the one composition path: x_compose is
+XCategory(fd).compose.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def normalize(x, fd: "FlowData | None" = None):
 
     It runs in two steps: normalize the parts and flatten them (1), then
     rewrite the flat list of normal pieces with (2)-(4) (_rewrite).
-    x_compose skips the first step: its labels are normal, and glue absorbs
+    Composition skips the first step: its labels are normal, and glue absorbs
     a diagonal at the seam or rewrites the pieces of both (normal parts hold
     no gluings and normalize is idempotent, so that is the same result).
     """
@@ -227,8 +228,14 @@ class XCell(NamedTuple):
         return x_render(self)
 
 
+def _require_cell(cell) -> XCell:
+    if not isinstance(cell, XCell):
+        raise InvalidArguments(f"expected an XCell, got {cell!r}")
+    return cell
+
+
 def x_render(cell: XCell) -> str:
-    if cell.level == 0:
+    if _require_cell(cell).level == 0:
         return str(cell.head)
     pairs = ", ".join(f"{s}->{t}" for s, t in cell.spine)
     return f"({cell.head}; {pairs})"
@@ -236,7 +243,7 @@ def x_render(cell: XCell) -> str:
 
 def _face(cell: XCell, side: int, name: str) -> XCell:
     """The top pair's label at side (0: source, 1: target) over the rest of the spine."""
-    if cell.level == 0:
+    if _require_cell(cell).level == 0:
         raise NoSource(f"level-0 cells have no {name}")
     return XCell(cell.spine[0][side], cell.spine[1:])
 
@@ -251,7 +258,7 @@ def x_target(cell: XCell) -> XCell:
 
 def x_identity(cell: XCell) -> XCell:
     """The unique point of the diagonal space over the cell."""
-    return XCell(Pt(cell.head), ((cell.head, cell.head),) + cell.spine)
+    return XCell(Pt(_require_cell(cell).head), ((cell.head, cell.head),) + cell.spine)
 
 
 def _chain_key(cell: XCell, p: int, side: int) -> tuple:
@@ -262,33 +269,13 @@ def _chain_key(cell: XCell, p: int, side: int) -> tuple:
 
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
-    _depth(p, a.level, c.level)
+    _depth(p, _require_cell(a).level, _require_cell(c).level)
     return _chain_key(a, p, 1) == _chain_key(c, p, 0)
 
 
 def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
-    """The glued cell ``c o_p a``: labels above depth p pair up and
-    glue, the pair at p splices, everything below is shared.
-
-    The cells' labels are taken to be normal, as every cell X builds has
-    them; the composite's labels are normal again."""
-    if not x_composable(p, a, c):
-        sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
-        raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
-    return _glue_cells(lambda u, v: glue(u, v, fd), p, a, c)
-
-
-def _glue_cells(glue_labels, p: int, a: XCell, c: XCell) -> XCell:
-    """x_compose of a composable pair, without the check, by glue_labels(u, v)."""
-    top = a.level - 1 - p
-    head = glue_labels(a.head, c.head)
-    spine = [
-        (glue_labels(a.spine[k][0], c.spine[k][0]), glue_labels(a.spine[k][1], c.spine[k][1]))
-        for k in range(top)
-    ]
-    spine.append((a.spine[top][0], c.spine[top][1]))
-    spine.extend(a.spine[top + 1 :])
-    return XCell(head, tuple(spine))
+    """The glued cell ``c o_p a``: XCategory(fd).compose(p, a, c)."""
+    return XCategory(fd).compose(p, a, c)
 
 
 def _base_cells(fd: FlowData) -> list:
@@ -311,28 +298,6 @@ def _spine_of(fd: FlowData, space) -> tuple:
 def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
     """XCategory(fd, include_composites).cells(level)."""
     return XCategory(fd, include_composites).cells(level)
-
-
-def _close_under_composition(glue_labels, level: int, cells: list, table: dict) -> list:
-    """Semi-naive fixpoint: each round composes only the pairs with a cell
-    that the previous round added (the frontier), into table[p, a, c]."""
-    pool = list(cells)
-    seen = set(pool)
-    frontier = pool
-    while frontier:
-        new = set(frontier)
-        old = [x for x in pool if x not in new]
-        fresh = []
-        for p in range(level):
-            for inner, outer in ((frontier, pool), (old, frontier)):
-                for a, c in composable_pairs(_chain_key, p, inner, outer):
-                    out = table[p, a, c] = _glue_cells(glue_labels, p, a, c)
-                    if out not in seen:
-                        seen.add(out)
-                        fresh.append(out)
-        pool = pool + fresh
-        frontier = fresh
-    return sorted(pool)
 
 
 def x_composable_pairs(fd: FlowData, level: int, p: int, include_composites: bool = False) -> list:
@@ -378,7 +343,7 @@ class XCategory:
         if key not in self._cells:
             fd = self.fd
             if closed:
-                cells = _close_under_composition(self._glue, level, self._level(level, False), self._composites)
+                cells = self._close_under_composition(level, self._level(level, False))
             elif level == 0:
                 cells = _base_cells(fd)
             else:
@@ -393,6 +358,40 @@ class XCategory:
                 cells.sort()
             self._cells[key] = cells
         return self._cells[key]
+
+    def _close_under_composition(self, level: int, cells: list) -> list:
+        """Semi-naive fixpoint: each round composes only the pairs with a cell
+        that the previous round added (the frontier), into the composite table."""
+        pool = list(cells)
+        seen = set(pool)
+        frontier = pool
+        while frontier:
+            new = set(frontier)
+            old = [x for x in pool if x not in new]
+            fresh = []
+            for p in range(level):
+                for inner, outer in ((frontier, pool), (old, frontier)):
+                    for a, c in composable_pairs(_chain_key, p, inner, outer):
+                        out = self._composites[p, a, c] = self._glue_cells(p, a, c)
+                        if out not in seen:
+                            seen.add(out)
+                            fresh.append(out)
+            pool = pool + fresh
+            frontier = fresh
+        return sorted(pool)
+
+    def _glue_cells(self, p: int, a: XCell, c: XCell) -> XCell:
+        """``c o_p a`` for a composable pair, unchecked: labels above depth p glue
+        pairwise to normal ones, the pair at p splices, the rest is shared."""
+        top = a.level - 1 - p
+        head = self._glue(a.head, c.head)
+        spine = [
+            (self._glue(a.spine[k][0], c.spine[k][0]), self._glue(a.spine[k][1], c.spine[k][1]))
+            for k in range(top)
+        ]
+        spine.append((a.spine[top][0], c.spine[top][1]))
+        spine.extend(a.spine[top + 1 :])
+        return XCell(head, tuple(spine))
 
     def _glue(self, u, v):
         """glue over this document; each pair with no diagonal, inside (3) too, is glued once."""
@@ -412,7 +411,7 @@ class XCategory:
         return list(composable_pairs(_chain_key, p, cells, cells))
 
     def level_of(self, cell) -> int:
-        return cell.level
+        return _require_cell(cell).level
 
     source = staticmethod(x_source)
     target = staticmethod(x_target)
@@ -420,8 +419,16 @@ class XCategory:
     render = staticmethod(x_render)
 
     def compose(self, p, a, c):
-        return self._composites.get((p, a, c)) or x_compose(self.fd, p, a, c)
+        """``c o_p a`` from the composite table; a miss is checked and glued, not stored."""
+        key = (p, _require_cell(a), _require_cell(c))  # checked first: the read hashes them
+        out = self._composites.get(key) if type(p) is int else None  # True, 0.0 would match
+        if out is None:
+            if not x_composable(p, a, c):
+                sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
+                raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
+            out = self._glue_cells(p, a, c)
+        return out
 
     def normalize(self, cell):
         n = lambda lab: normalize(lab, self.fd)
-        return XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
+        return XCell(n(_require_cell(cell).head), tuple((n(s), n(t)) for s, t in cell.spine))

@@ -27,6 +27,8 @@ W1 = w_make(0, [(2, 1)])
 W2 = w_make(0, [(0, 0), (2, 1)])
 X1 = x_cells(FD, 1)[0]
 X2 = x_cells(FD, 2)[0]
+CLOSED = XCategory(FD, include_composites=True)
+XA, XC = CLOSED.pairs(1, 0)[0]  # a pair the closure glued: compose reads it from the table
 
 
 @pytest.mark.parametrize(
@@ -63,6 +65,8 @@ DEPTH_CALLS = {
     "x_compose": (lambda p, a=X1, c=X1: x_compose(FD, p, a, c), X2),
     "x_composable": (lambda p, a=X1, c=X1: x_composable(p, a, c), X2),
     "composable-x": (lambda p, a=X1, c=X1: composable(XCategory(FD), p, a, c), X2),
+    # False and 0.0 hash as the depth 0 of the pair's table key
+    "XCategory.compose-closed": (lambda p, a=XA, c=XC: CLOSED.compose(p, a, c), X2),
     "XCategory.pairs": (lambda p: XCategory(FD).pairs(1, p), None),
     "x_composable_pairs": (lambda p: x_composable_pairs(FD, 1, p), None),
     "x_composable_pairs-closed": (lambda p: x_composable_pairs(FD, 1, p, include_composites=True), None),
@@ -96,8 +100,24 @@ def test_depth_check_keeps_its_messages(call):
         (lambda: w_target(W1.spine), "expected a WCell, got ((2, 1),)"),
         (lambda: w_render(1.5), "expected a WCell, got 1.5"),
         (lambda: w_compose(0, W1, "x"), "expected a WCell, got 'x'"),
+        # these used to raise a bare AttributeError (or TypeError, for the list)
+        (lambda: v_source("x"), "expected a VCell, got 'x'"),
+        (lambda: v_identity(3), "expected a VCell, got 3"),
+        (lambda: v_render(None), "expected a VCell, got None"),
+        (lambda: x_source("x"), "expected an XCell, got 'x'"),
+        (lambda: x_identity(5), "expected an XCell, got 5"),
+        (lambda: x_render(None), "expected an XCell, got None"),
+        (lambda: x_compose(FD, 0, "a", "b"), "expected an XCell, got 'a'"),
+        (lambda: CLOSED.compose(0, XA, ["a"]), "expected an XCell, got ['a']"),
+        (lambda: XCategory(FD).normalize("a"), "expected an XCell, got 'a'"),
+        (lambda: composable(WCategory(), 0, "a", "b"), "expected a WCell, got 'a'"),
+        (lambda: composable(VCategory(), 0, "a", "b"), "expected a VCell, got 'a'"),
+        (lambda: composable(XCategory(FD), 0, "a", "b"), "expected an XCell, got 'a'"),
     ],
-    ids=["identity-of-bool", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str"],
+    ids=["identity-of-bool", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str",
+         "v-source-of-str", "v-identity-of-int", "v-render-of-none", "x-source-of-str", "x-identity-of-int",
+         "x-render-of-none", "x-compose-with-str", "x-compose-with-list", "x-normalize-of-str",
+         "composable-w-of-str", "composable-v-of-str", "composable-x-of-str"],
 )
 def test_w_argument_errors_keep_their_text(call, message):
     with pytest.raises(InvalidArguments) as e:

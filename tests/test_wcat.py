@@ -1,6 +1,8 @@
 """Cell constraints, boundary maps, composition, and enumeration for W."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -91,10 +93,20 @@ def test_make_rejects_negatives_and_nonints():
             "level 0: entry above level 0 must be < i_0-j_0=1, got 5",
             0,
         ),
+        # the sums of a non-integer entry used to raise a bare TypeError
+        (lambda: w_compose(0, WCell("a", ((1, 0),)), WCell(0, ((0, 0),))), "head must be an integer, got 'a'", None),
+        (lambda: w_compose(0, WCell(None, ((1, 0),)), WCell(0, ((0, 0),))), "head must be an integer, got None", None),
+        (lambda: w_compose(0, WCell(0, ((1, 0),)), WCell(None, ((0, 0),))), "head must be an integer, got None", None),
+        (
+            lambda: w_compose(0, WCell(0, ((0, 0), (1, 0))), WCell(0, (("0", 0), (0, 0)))),
+            "i_1 must be an integer, got '0'",
+            None,
+        ),
     ],
     ids=["head", "bool", "negative-i", "non-int-j", "j-above-i", "degenerate", "bound",
          "empty-spine", "identity-of-negative", "spine-number", "spine-none", "entry-number",
-         "entry-triple", "compose-invalid-operand"],
+         "entry-triple", "compose-invalid-operand", "compose-str-head", "compose-none-head",
+         "compose-outer-none-head", "compose-str-entry"],
 )
 def test_make_error_text(make, message, level):
     with pytest.raises(ConstraintViolation) as e:
@@ -366,3 +378,50 @@ def test_composing_invalid_cells_still_names_the_constraint():
     a = WCell(1, ((0, 0),))  # a degenerate pair needs 0 above it
     with pytest.raises(ConstraintViolation, match="entry above a degenerate pair"):
         w_compose(0, a, cell(0, [(0, 0)]))
+
+
+def _hand_built(level, bound):
+    """Every WCell(head, spine) at the level with entries 0..bound, valid or not."""
+    entries = range(bound + 1)
+    return [
+        WCell(head, tuple(zip(flat[::2], flat[1::2])))
+        for head in entries
+        for flat in itertools.product(entries, repeat=2 * level)
+    ]
+
+
+def _outcome(build, *args):
+    """What build(*args) gives: a cell, or a ConstraintViolation's (text, level)."""
+    try:
+        return build(*args)
+    except ConstraintViolation as e:
+        return str(e), e.level
+
+
+def test_make_and_compose_share_the_one_constraint_check():
+    # w_make raises iff the oracle rejects the tuple, entries 0..3 at levels 1-2
+    made = [q for level in (1, 2) for q in _hand_built(level, 3)]
+    assert len(made) == 64 + 1024
+    for q in made:
+        assert isinstance(_outcome(w_make, *q), WCell) == ok_wtuple(*q)
+    # w_compose on every composable pair of hand-built cells, valid or not, with
+    # entries 0..3 at level 1 and 0..2 at level 2 (to stay well under a second):
+    # it raises iff the oracle rejects the spliced composite, with w_make's text
+    # and level
+    composed = Counter()
+    for level, bound in ((1, 3), (2, 2)):
+        built = _hand_built(level, bound)
+        for p in range(level):
+            top = level - 1 - p
+            for q in built:
+                for r in built:
+                    if not w_composable(p, q, r):
+                        continue
+                    head = q.head + r.head
+                    spine = tuple((a + c, b + d) for (a, b), (c, d) in zip(q.spine[:top], r.spine[:top]))
+                    spine += ((q.spine[top][0], r.spine[top][1]),) + q.spine[top + 1 :]
+                    out = _outcome(w_compose, p, q, r)
+                    assert out == _outcome(w_make, head, spine)
+                    assert isinstance(out, WCell) == ok_wtuple(head, spine)
+                    composed[isinstance(out, WCell)] += 1
+    assert composed == {True: 136, False: 22758}  # valid composites, raising ones

@@ -539,21 +539,27 @@ def test_each_cell_is_normalized_once(monkeypatch):
 def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
     # closed: the (p, A, C) the closure glues; distinct: those that the
     # closure, globularity and the X laws compose between them, counted as
-    # distinct x_compose arguments of the same checks without the table
+    # distinct compose arguments of the same checks without the table
     fd = fd()
-    glued, checked = [], []
-    real_glue, real_compose = xcat._glue_cells, xcat.x_compose
+    glued, checked = [], []  # checked: the pairs compose glues itself, on a table miss
+    composing = [0]
+    real_glue, real_compose = XCategory._glue_cells, XCategory.compose
 
-    def counted_glue(fd, p, a, c):
+    def counted_glue(self, p, a, c):
         glued.append((p, a, c))
-        return real_glue(fd, p, a, c)
+        if composing[0]:
+            checked.append((p, a, c))
+        return real_glue(self, p, a, c)
 
-    def counted_compose(fd, p, a, c):
-        checked.append((p, a, c))
-        return real_compose(fd, p, a, c)
+    def counted_compose(self, p, a, c):
+        composing[0] += 1
+        try:
+            return real_compose(self, p, a, c)
+        finally:
+            composing[0] -= 1
 
-    monkeypatch.setattr(xcat, "_glue_cells", counted_glue)
-    monkeypatch.setattr(xcat, "x_compose", counted_compose)
+    monkeypatch.setattr(XCategory, "_glue_cells", counted_glue)
+    monkeypatch.setattr(XCategory, "compose", counted_compose)
     cat = XCategory(fd, include_composites=True)  # one instance for every X check
     for l in range(fd.max_level + 1):
         cat.cells(l)
@@ -561,7 +567,7 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
     report = check_globularity(cat).merged(check_axioms(cat, samples=10**6))
     assert report.passed and all(e.checked > 0 for e in report.entries)
     assert len(glued) == len(set(glued)) == distinct
-    # x_compose runs only on a table miss: on pairs the closure never glued
+    # compose glues only on a table miss: on pairs the closure never glued
     assert checked == glued[closed:]
     # a functor check composes only closed pairs, so its own closure's
     # table serves every one of them
@@ -643,6 +649,34 @@ def test_table_keeps_the_not_composable_message():
         with pytest.raises(NotComposable) as raised:
             x_compose(FD, 0, a, c)
         assert str(raised.value) == message
+
+
+def _not_composable_text(compose, *args):
+    with pytest.raises(NotComposable) as raised:
+        compose(*args)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("fd, missed", [(lambda: chain_fd(4, 2), 7876), (lambda: FD, 1344)], ids=["chain-4-2", "torus"])
+def test_a_miss_of_compose_raises_as_x_compose_does(fd, missed):
+    # the closure glues every composable pair of closed cells, so each miss
+    # among them is a pair that does not compose: compose gives x_compose's
+    # NotComposable text for it and stores nothing
+    fd = fd()
+    cat = XCategory(fd, include_composites=True)
+    misses = 0
+    for l in range(1, fd.max_level + 1):
+        cells = cat.cells(l)
+        table = dict(cat._composites)
+        for p in range(l):
+            for a in cells:
+                for c in cells:
+                    if (p, a, c) not in table:
+                        text = _not_composable_text(cat.compose, p, a, c)
+                        assert text == _not_composable_text(x_compose, fd, p, a, c)
+                        misses += 1
+        assert cat._composites == table
+    assert misses == missed
 
 
 def test_reference_category_bypasses_the_table():
