@@ -29,6 +29,7 @@ categories normalize is the identity and the laws hold literally.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import islice
 from typing import NamedTuple
 
@@ -136,14 +137,6 @@ def composable_pairs(chain, p, inner, outer):
             yield a, c
 
 
-def _partners(pairs, side):
-    """The cell at ``side`` of each pair -> its partners, in list order."""
-    out = {}
-    for pair in pairs:
-        out.setdefault(pair[side], []).append(pair[1 - side])
-    return out
-
-
 class _Law:
     """The tally of one law: instances checked and witnesses found.
 
@@ -185,12 +178,14 @@ def _ok(out):
 
 
 class _Memo(dict):
-    """key -> ids[call(key)], or the NCatError that call raised; call runs
-    once per distinct key.  ``peek(key)`` gives the stored id or error and
-    never raises."""
+    """key -> ids[call(key)], or the NCatError that call raised; call, a
+    category's method or a functor, runs once per distinct key, and a miss
+    costs one frame besides it.  ``peek(key)`` gives the stored id or error
+    and never raises.  Keyed by the argument itself (functor images);
+    ``_OnIds`` and ``_Composites`` key the category calls by ids."""
 
     def __init__(self, call, ids):
-        self.call, self.ids = call, ids
+        self.call, self.ids, self.cell = call, ids, ids.cell
 
     def __missing__(self, key):
         try:
@@ -201,6 +196,39 @@ class _Memo(dict):
         return out
 
     peek = dict.__getitem__
+
+
+class _OnIds(_Memo):
+    """id i -> ids[call(cell[i])], or the NCatError raised; a stored error
+    handed in as a key is its own value, with no call."""
+
+    def __missing__(self, i):
+        if i.__class__ is not int:
+            return i
+        try:
+            out = self.ids[self.call(self.cell[i])]
+        except NCatError as e:
+            out = e
+        self[i] = out
+        return out
+
+
+class _Composites(_Memo):
+    """(p, a, c) -> ids[call(p, cell[a], cell[c])], or the NCatError raised;
+    a stored error handed in for a, else for c, is the value, with no call."""
+
+    def __missing__(self, key):
+        p, a, c = key
+        if a.__class__ is not int:
+            return a
+        if c.__class__ is not int:
+            return c
+        try:
+            out = self.ids[self.call(p, self.cell[a], self.cell[c])]
+        except NCatError as e:
+            out = e
+        self[key] = out
+        return out
 
 
 class _Run:
@@ -228,14 +256,14 @@ class _Run:
         if levels is None:
             levels = range(cat.max_level + 1)
         self.levels = [l for l in levels if type(l) is not int or l >= low]  # cells() rejects a non-int
-        # the tables see ids and cell, never self: a run is freed without the cycle collector
+        # the tables see ids and cat's methods, never self: a run is freed without the cycle collector
         ids = self.ids = _Ids()
-        cell = self.cell = ids.cell
-        self.source = _Memo(lambda i: cat.source(cell[_ok(i)]), ids)
-        self.target = _Memo(lambda i: cat.target(cell[_ok(i)]), ids)
-        self.identity = _Memo(lambda i: cat.identity(cell[_ok(i)]), ids)
-        self.normalize = _Memo(lambda i: cat.normalize(cell[_ok(i)]), ids)
-        self.composite = _Memo(lambda k: cat.compose(k[0], cell[_ok(k[1])], cell[_ok(k[2])]), ids)
+        self.cell = ids.cell
+        self.source = _OnIds(cat.source, ids)
+        self.target = _OnIds(cat.target, ids)
+        self.identity = _OnIds(cat.identity, ids)
+        self.normalize = _OnIds(cat.normalize, ids)
+        self.composite = _Composites(cat.compose, ids)
         rng = random.Random(seed)
         self.sample = {}
         for l in self.levels:
@@ -245,6 +273,7 @@ class _Run:
                 cells = [cells[i] for i in keep]
             self.sample[l] = [ids[x] for x in cells]
         self._pairs = {}
+        self.keys = {}  # (l, p) -> {id: (s-chain, t-chain)} of the cells in pairs(l, p)
         self.unwalked = {}  # (l, p) -> [(id, NCatError)] left out of pairs(l, p)
 
     def render(self, i: int) -> str:
@@ -296,16 +325,19 @@ class _Run:
     def pairs(self, l: int, p: int) -> list:
         """The first cap composable pairs (inner, outer) among the level-l
         sample, keyed on normalized chains.  A cell whose chain walk raises
-        is left out and listed in unwalked[l, p]."""
+        is left out and listed in unwalked[l, p]; each other cell's (s-chain,
+        t-chain) key is kept in keys[l, p]."""
         if (l, p) not in self._pairs:
             walked, keys, self.unwalked[l, p] = [], {}, []
             for x in self.sample[l]:
-                try:
-                    keys[x] = [_ok(self.chain(x, st, l - p)) for st in (self.source, self.target)]
-                except NCatError as e:
-                    self.unwalked[l, p].append((x, e))
-                else:
+                s = self.chain(x, self.source, l - p)
+                t = self.chain(x, self.target, l - p) if s.__class__ is int else s
+                if t.__class__ is int:
+                    keys[x] = s, t
                     walked.append(x)
+                else:
+                    self.unwalked[l, p].append((x, t))
+            self.keys[l, p] = keys
             index = composable_pairs(lambda x, _, side: keys[x][side], p, walked, walked)
             self._pairs[l, p] = list(islice(index, self.cap))
         return self._pairs[l, p]
@@ -403,8 +435,9 @@ def _assoc(run) -> AxiomEntry:
     render, comp = run.render, run.composite.peek
     for l in run.levels:
         for p in range(l):
-            pairs = run.pairs(l, p)
-            inners = _partners(pairs, 1)
+            pairs, inners = run.pairs(l, p), defaultdict(list)  # c -> its inner partners
+            for a, c in pairs:
+                inners[c].append(a)
             triples = ((a, c, e) for c, e in pairs for a in inners.get(c, ()))
             for a, c, e in islice(triples, run.cap):
                 law.checked += 1
@@ -433,19 +466,28 @@ def _unit(run) -> AxiomEntry:
 
 
 def _binary_interchange(run) -> AxiomEntry:
+    """(H o_p E) o_q (C o_p A) = (H o_q C) o_p (E o_q A) for each p-pair (A, C),
+    each q-partner E of A, then each q-partner H of C with (E, H) a p-pair.
+    Only the H whose depth-p s-chain is E's t-chain are read, so the scan
+    visits just the instances that exist, in that order, before the cap."""
     law = _Law("binary-interchange")
     render, comp = run.render, run.composite.peek
     for l in run.levels:
         for p in range(1, l):
             pairs_p = run.pairs(l, p)
-            at_p = set(pairs_p)
-            for q in range(p):
-                succ = _partners(run.pairs(l, q), 0)
+            at_p, keys = set(pairs_p), run.keys[l, p]
+            for q in range(p):  # a -> [(e, e's t-chain)], c -> {h's s-chain: [h]}, in list order
+                succ, outer = {}, defaultdict(dict)
+                for x, y in run.pairs(l, q):
+                    key = keys.get(y)
+                    if key is not None:  # a cell with no depth-p key is in no pair at p
+                        succ.setdefault(x, []).append((y, key[1]))
+                        outer[x].setdefault(key[0], []).append(y)
                 quads = (
                     (a, c, e, h)
                     for a, c in pairs_p
-                    for e in succ.get(a, ())
-                    for h in succ.get(c, ())
+                    for e, key in succ.get(a, ())
+                    for h in outer[c].get(key, ())
                     if (e, h) in at_p
                 )
                 for a, c, e, h in islice(quads, run.cap):

@@ -90,8 +90,8 @@ class VCategory(WCategory):
 
     name = "v"
 
-    def cells(self, level: int) -> list:
-        return [VCell(q) for q in super().cells(level)]
+    def _enumerate(self, level: int) -> list:
+        return [VCell(q) for q in super()._enumerate(level)]
 
     def level_of(self, cell) -> int:
         return super().level_of(v_to_w(cell))

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_new = tuple.__new__  # builds a WCell without the NamedTuple's Python-level __new__
+
+
 class WCell(NamedTuple):
     """A level >= 1 cell: head entry plus top-down spine of (i, j) pairs."""
 
@@ -110,7 +113,7 @@ def _checked(head, spine: tuple) -> WCell:
                 level=k,
             )
         above = i
-    return WCell(head, spine)
+    return _new(WCell, (head, spine))
 
 
 def _require_cell(q) -> WCell:
@@ -121,10 +124,13 @@ def _require_cell(q) -> WCell:
 
 def _face(q: WCell, side: int, name: str):
     """Drop the head, promote the top pair's entry at side (0: i, 1: j)."""
-    if isinstance(q, int):
-        raise NoSource(f"level-0 cells have no {name}")
-    entry = _require_cell(q).spine[0][side]
-    return entry if q.level == 1 else WCell(entry, q.spine[1:])
+    if q.__class__ is not WCell:
+        if isinstance(q, int):
+            raise NoSource(f"level-0 cells have no {name}")
+        _require_cell(q)
+    spine = q[1]
+    entry = spine[0][side]
+    return entry if len(spine) == 1 else _new(WCell, (entry, spine[1:]))
 
 
 def w_source(q: WCell):
@@ -139,13 +145,14 @@ def w_target(q: WCell):
 
 def w_identity(q) -> WCell:
     """Head becomes a degenerate pair under a fresh 0 head."""
-    if isinstance(q, bool):
-        raise InvalidArguments("expected a cell, got a bool")
-    if isinstance(q, int):
-        _as_entry(q, "cell")
-        return WCell(0, ((q, q),))
-    _require_cell(q)
-    return WCell(0, ((q.head, q.head),) + q.spine)
+    if q.__class__ is not WCell:
+        if isinstance(q, bool):
+            raise InvalidArguments("expected a cell, got a bool")
+        if isinstance(q, int):
+            _as_entry(q, "cell")
+            return _new(WCell, (0, ((q, q),)))
+        _require_cell(q)
+    return _new(WCell, (0, ((q[0], q[0]),) + q[1]))
 
 
 def w_composable(p: int, q, r) -> bool:
@@ -159,10 +166,15 @@ def w_composable(p: int, q, r) -> bool:
 
 def _check_composable(p: int, q: WCell, r: WCell) -> int:
     """Raise unless ``r o_p q`` is defined; the spine position of depth p."""
-    top = _depth(p, _require_cell(q).level, _require_cell(r).level) - 1 - p
-    if q.spine[top][1] != r.spine[top][0]:
-        raise NotComposable(p, f"j_p of inner is {q.spine[top][1]}, i_p of outer is {r.spine[top][0]}")
-    if q.spine[top + 1 :] != r.spine[top + 1 :]:
+    if q.__class__ is not WCell or r.__class__ is not WCell:
+        _require_cell(q), _require_cell(r)
+    qs, rs = q[1], r[1]
+    if not (p.__class__ is int and 0 <= p < len(qs) == len(rs)):
+        _depth(p, len(qs), len(rs))  # raises, with the message every category gives
+    top = len(qs) - 1 - p
+    if qs[top][1] != rs[top][0]:
+        raise NotComposable(p, f"j_p of inner is {qs[top][1]}, i_p of outer is {rs[top][0]}")
+    if qs[top + 1 :] != rs[top + 1 :]:
         raise NotComposable(p, "spines below p differ")
     return top
 
@@ -176,19 +188,16 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     add, and a degenerate level forces both summands above it to be 0.
     """
     top = _check_composable(p, q, r)
+    qs, rs = q[1], r[1]
     try:
-        head = q.head + r.head
-        spine = [
-            (q.spine[pos][0] + r.spine[pos][0], q.spine[pos][1] + r.spine[pos][1])
-            for pos in range(top)
-        ]
+        head = q[0] + r[0]
+        spine = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(qs[:top], rs[:top])]
     except TypeError:  # a hand-built operand with an entry that does not add
         for operand in (q, r):
             _checked(*operand)  # raises, naming the entry
         raise
-    spine.append((q.spine[top][0], r.spine[top][1]))
-    spine.extend(q.spine[top + 1 :])
-    return _checked(head, tuple(spine))
+    spine.append((qs[top][0], rs[top][1]))
+    return _checked(head, tuple(spine) + qs[top + 1 :])
 
 
 def w_enumerate(level: int, bound: int) -> list:
@@ -199,22 +208,20 @@ def w_enumerate(level: int, bound: int) -> list:
         raise InvalidArguments(f"level and bound must be integers, got {level!r} and {bound!r}")
     if level < 0 or bound < 0:
         raise InvalidArguments("level and bound must be non-negative")
-    if level == 0:
-        return list(range(bound + 1))
-    out = []
-    for below in w_enumerate(level - 1, bound):
-        if isinstance(below, int):
-            i, rest = below, ()
-        else:
-            i, rest = below.head, below.spine
-        for j in range(min(i, bound) + 1):
-            if i == j:
-                out.append(WCell(0, ((i, j),) + rest))
-            else:
-                for head in range(min(i - j - 1, bound) + 1):
-                    out.append(WCell(head, ((i, j),) + rest))
-    out.sort()
-    return out
+    cells = list(range(bound + 1))
+    for _ in range(level):  # each level from the one below
+        out = []
+        for below in cells:
+            i, rest = (below, ()) if below.__class__ is int else below
+            for j in range(min(i, bound) + 1):
+                if i == j:
+                    out.append(_new(WCell, (0, ((i, j),) + rest)))
+                else:
+                    for head in range(min(i - j - 1, bound) + 1):
+                        out.append(_new(WCell, (head, ((i, j),) + rest)))
+        out.sort()
+        cells = out
+    return cells
 
 
 def w_render(q) -> str:
@@ -231,6 +238,8 @@ class WCategory:
     """W packaged behind the generic category interface used by the
     axiom engine: source, target, identity, compose and render are the
     module's functions.  ``bound`` caps the entries that cells() enumerates.
+    Each level is enumerated once per instance; cells() hands out copies
+    so callers cannot change the cache.
     """
 
     name = "w"
@@ -238,10 +247,16 @@ class WCategory:
     def __init__(self, max_level: int = 3, bound: int = 3):
         self.max_level = max_level
         self.bound = bound
+        self._cells = {}
 
     def cells(self, level: int) -> list:
-        if type(level) is int and level > self.max_level:
-            return []
+        if type(level) is not int:  # True and 1.0 hash as level 1: never a cache key
+            return self._enumerate(level)  # raises
+        if level not in self._cells:
+            self._cells[level] = [] if level > self.max_level else self._enumerate(level)
+        return list(self._cells[level])
+
+    def _enumerate(self, level: int) -> list:
         return w_enumerate(level, self.bound)
 
     def level_of(self, cell) -> int:

@@ -318,6 +318,8 @@ class XCategory:
     name = "x"
 
     def __init__(self, fd: FlowData, include_composites: bool = False):
+        if not isinstance(fd, FlowData):
+            raise InvalidArguments(f"expected a FlowData, got {fd!r}")
         self.fd = fd
         self.max_level = fd.max_level
         self.include_composites = include_composites

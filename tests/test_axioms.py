@@ -22,7 +22,7 @@ from ncat.errors import ConstraintViolation, InvalidArguments, NCatError, NotCom
 from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws
 from ncat.torus import torus_flow_data
-from ncat.vcat import VCategory
+from ncat.vcat import VCategory, VCell, v_compose
 from ncat.wcat import (
     WCategory,
     WCell,
@@ -316,9 +316,9 @@ def test_raising_boundary_in_globularity_is_a_witness():
     )
 
 
-def _witnesses(ctx, lhs, rhs):
-    """What the engine records for one two-sided instance on W: each side
-    that raises, then a mismatch of two computed sides."""
+def _witnesses(ctx, lhs, rhs, render):
+    """What the engine records for one two-sided instance: each side that
+    raises, then a mismatch of two computed sides."""
     out, sides = [], []
     for side in (lhs, rhs):
         try:
@@ -326,24 +326,27 @@ def _witnesses(ctx, lhs, rhs):
         except NCatError as e:
             out.append(f"{ctx}: raised {e}")
     if len(sides) == 2 and sides[0] != sides[1]:
-        out.append(f"{ctx}: {w_render(sides[0])} != {w_render(sides[1])}")
+        out.append(f"{ctx}: {render(sides[0])} != {render(sides[1])}")
     return out
 
 
-@pytest.mark.parametrize("cap", [20, 25, 50, 200])
-def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
-    cat = HeavyCompose(max_level=3, bound=3)
+def _check_capped_order(cat, cap):
+    """Assert that check_axioms(cat, samples=cap) checks the assoc and
+    binary-interchange instances of capped_law_instances, in its order,
+    with the witnesses each gives; return the report."""
     report = check_axioms(cat, samples=cap)
-    r, comp = w_render, cat.compose
+    r, comp = cat.render, cat.compose
+    cap = 10**9 if cap is None else cap
     assoc, interchange = [], []
-    for l, cells in sampled_levels(cat, range(4), 0, cap).items():
-        triples, quads = capped_law_instances(cells, l, cap, w_source, w_target)
+    for l, cells in sampled_levels(cat, range(cat.max_level + 1), 0, cap).items():
+        triples, quads = capped_law_instances(cells, l, cap, cat.source, cat.target)
         for p, found in triples.items():
             for a, c, e in found:
                 assoc.append(_witnesses(
                     f"l={l} p={p} A={r(a)} C={r(c)} E={r(e)}",
                     lambda: comp(p, comp(p, a, c), e),
                     lambda: comp(p, a, comp(p, c, e)),
+                    r,
                 ))
         for (p, q), found in quads.items():
             for a, c, e, h in found:
@@ -351,14 +354,39 @@ def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
                     f"l={l} p={p} q={q} A={r(a)} C={r(c)} E={r(e)} H={r(h)}",
                     lambda: comp(q, comp(p, a, c), comp(p, e, h)),
                     lambda: comp(p, comp(q, a, e), comp(q, c, h)),
+                    r,
                 ))
     for axiom, want in (("assoc", assoc), ("binary-interchange", interchange)):
         entry = report.entry(axiom)
         assert entry.checked == len(want)
         assert [f.detail for f in entry.failures] == [w for ws in want for w in ws]
+    return report
+
+
+@pytest.mark.parametrize("cap", [20, 25, 50, 200])
+def test_capped_assoc_and_interchange_keep_the_all_pairs_order(cap):
+    report = _check_capped_order(HeavyCompose(max_level=3, bound=3), cap)
     # the cap cuts both laws short below 200 (306 and 203 instances uncapped)
     assert (report.entry("assoc").checked < 306) == (cap < 200)
     assert (report.entry("binary-interchange").checked < 203) == (cap < 200)
+
+
+class HeavyVCompose(VCategory):
+    """HeavyCompose's fault in V: composition inflates the head by one."""
+
+    def compose(self, p, a, c):
+        out = v_compose(p, a, c).dims
+        return VCell(WCell(out.head + 1, out.spine))
+
+
+@pytest.mark.parametrize("cap", [40, None], ids=["cap-40", "uncapped"])
+@pytest.mark.parametrize("cls", [HeavyCompose, HeavyVCompose], ids=["w", "v"])
+def test_capped_order_holds_at_level_four(cls, cap):
+    # at level 4 the cap of 40 cuts the depth-0 pairs (80) and the (p, q)
+    # quadruple lists (1, 0), (2, 0) and (3, 0) (64, 48 and 46) partway
+    report = _check_capped_order(cls(max_level=4, bound=3), cap)
+    checked = (report.entry("assoc").checked, report.entry("binary-interchange").checked)
+    assert checked == ((468, 443) if cap is None else (338, 353))
 
 
 def test_negative_samples_are_invalid_arguments():

@@ -1,9 +1,12 @@
 """The category protocol shared by W, V and X: each class binds its module's
 functions, and one depth check guards every composability entry point."""
 
+from collections import Counter
+
 import pytest
 
-from ncat.axioms import composable
+from ncat import wcat
+from ncat.axioms import check_axioms, check_globularity, composable
 from ncat.errors import InvalidArguments, NoSource
 from ncat.torus import torus_flow_data
 from ncat.vcat import VCategory, VCell, v_compose, v_identity, v_render, v_source, v_target
@@ -113,11 +116,18 @@ def test_depth_check_keeps_its_messages(call):
         (lambda: composable(WCategory(), 0, "a", "b"), "expected a WCell, got 'a'"),
         (lambda: composable(VCategory(), 0, "a", "b"), "expected a VCell, got 'a'"),
         (lambda: composable(XCategory(FD), 0, "a", "b"), "expected an XCell, got 'a'"),
+        # these used to raise a bare AttributeError
+        (lambda: XCategory(None), "expected a FlowData, got None"),
+        (lambda: XCategory("junk"), "expected a FlowData, got 'junk'"),
+        (lambda: x_compose(None, 0, X1, X1), "expected a FlowData, got None"),
+        (lambda: x_cells(None, 0), "expected a FlowData, got None"),
+        (lambda: x_composable_pairs(None, 1, 0), "expected a FlowData, got None"),
     ],
     ids=["identity-of-bool", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str",
          "v-source-of-str", "v-identity-of-int", "v-render-of-none", "x-source-of-str", "x-identity-of-int",
          "x-render-of-none", "x-compose-with-str", "x-compose-with-list", "x-normalize-of-str",
-         "composable-w-of-str", "composable-v-of-str", "composable-x-of-str"],
+         "composable-w-of-str", "composable-v-of-str", "composable-x-of-str", "x-category-of-none",
+         "x-category-of-str", "x-compose-over-none", "x-cells-over-none", "x-pairs-over-none"],
 )
 def test_w_argument_errors_keep_their_text(call, message):
     with pytest.raises(InvalidArguments) as e:
@@ -148,6 +158,27 @@ def test_w_and_v_cells_above_max_level_are_empty(cls):
     cat = cls(max_level=1, bound=2)
     assert len(cat.cells(1)) == 7
     assert cat.cells(2) == [] and cat.cells(5) == []
+
+
+@pytest.mark.parametrize("cls, wrap", [(WCategory, lambda q: q), (VCategory, VCell)], ids=["w", "v"])
+def test_w_and_v_enumerate_each_level_once_per_instance(cls, wrap, monkeypatch):
+    enumerated, w_enumerate = Counter(), wcat.w_enumerate
+
+    def counted(level, bound):
+        enumerated[level] += 1
+        return w_enumerate(level, bound)
+
+    monkeypatch.setattr(wcat, "w_enumerate", counted)
+    cat = cls(4, 3)
+    check_globularity(cat)
+    check_axioms(cat)
+    assert enumerated == {l: 1 for l in range(5)}
+    cat.cells(2).clear()  # a copy: the cache keeps its cells
+    assert cat.cells(2) == [wrap(q) for q in w_enumerate(2, 3)]
+    assert enumerated == {l: 1 for l in range(5)}
+    for bad in (True, 1.0):  # both hash as the cached level 1
+        with pytest.raises(InvalidArguments, match="^level and bound must be integers"):
+            cat.cells(bad)
 
 
 @pytest.mark.parametrize(
