@@ -169,9 +169,7 @@ def _check_composable(p: int, q: WCell, r: WCell) -> int:
     if q.__class__ is not WCell or r.__class__ is not WCell:
         _require_cell(q), _require_cell(r)
     qs, rs = q[1], r[1]
-    if not (p.__class__ is int and 0 <= p < len(qs) == len(rs)):
-        _depth(p, len(qs), len(rs))  # raises, with the message every category gives
-    top = len(qs) - 1 - p
+    top = _depth(p, len(qs), len(rs)) - 1 - p
     if qs[top][1] != rs[top][0]:
         raise NotComposable(p, f"j_p of inner is {qs[top][1]}, i_p of outer is {rs[top][0]}")
     if qs[top + 1 :] != rs[top + 1 :]:
@@ -197,7 +195,8 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
             _checked(*operand)  # raises, naming the entry
         raise
     spine.append((qs[top][0], rs[top][1]))
-    return _checked(head, tuple(spine) + qs[top + 1 :])
+    spine.extend(qs[top + 1 :])
+    return _checked(head, tuple(spine))
 
 
 def w_enumerate(level: int, bound: int) -> list:

@@ -170,34 +170,24 @@ def test_byte_identical_reruns(torus_file):
 
 
 # sha256 of the stdout of `axioms --category <c> --level 4 --samples 300
-# --seed <s> --format <f>`, frozen at commit 6056041: the level-4 capped path
-# of the CLI default, which the byte-identity runs above reach only at level 2
+# --seed 0 --format <f>`, frozen at commit 6056041: the level-4 capped path
+# of the CLI default, which the byte-identity runs above reach only at level 2.
+# At the CLI's entry bound the cap cuts nothing, so other seeds check the same
+# instances and differ only in the header's seed.
 AXIOMS_LEVEL_4 = {
-    ("w", 0, "text"): "9c0da7859b22aec980ce75dbcb89ed305fc05c43f8229cb663f80c0d4688adb4",
-    ("w", 0, "json"): "bcfcd0adafdf7ff25421aef401258604d5ca91ac78f441a2d0292383bb25f0ba",
-    ("w", 1, "text"): "3348d5c37b91374eacbbe93bdabb092515e68664b067d1e28536782d8dd5248d",
-    ("w", 1, "json"): "240f5485107bde37aae2d195966e2936307b8ac8e1bfbb319a95585028e2c7ba",
-    ("w", 2, "text"): "6417f41b0cbeefc484c4e97b0b671881875def4e23689c8b748e73b10e9bc353",
-    ("w", 2, "json"): "a1f97c0f7e6d6a2a9468db6986147007ec8c6807a4950aa21fbe121e6720aaf7",
-    ("w", 3, "text"): "ce0fef72441db74e2079a9c2db7e66f56a1983338e8ebee0049bb4b7baf616aa",
-    ("w", 3, "json"): "f734a45c6f80ea9ca2490dbc1f87d4581b5fd67b6349a2383e5566344d5eeb85",
-    ("v", 0, "text"): "d781631f699af9766147d4091d77b3a8bbb3b0f39062277315a22babc8b36a5d",
-    ("v", 0, "json"): "3c4ca62d1b9b2cc85d04853781ce0f83cab6520fe04508f8e157c39482259c3a",
-    ("v", 1, "text"): "622a79ec9961038e366b96484357820d18159a2304771914d0cc32e0a7026ca3",
-    ("v", 1, "json"): "d20f141a990c252ce82f631e279a10b3b077e09bed29c892ac49abc3c20dda05",
-    ("v", 2, "text"): "035ba3f984e8ec29f23abe17f3fe07955e5e8b50eff11c49edd4aa70dcaa4117",
-    ("v", 2, "json"): "cf6c2be6c36b02cd6dcfaf5099594b83396fd3c71c81a65bf706bcb68c3d2581",
-    ("v", 3, "text"): "3db2e4d2629686e63335440c1dfe850d75ad7398c4dcfeed6ba4eaf389a0e861",
-    ("v", 3, "json"): "7bec58cb295eee2475b92e08fe95b17970e8ff7b2ed360dbf2d9acb9941c68da",
+    ("w", "text"): "9c0da7859b22aec980ce75dbcb89ed305fc05c43f8229cb663f80c0d4688adb4",
+    ("w", "json"): "bcfcd0adafdf7ff25421aef401258604d5ca91ac78f441a2d0292383bb25f0ba",
+    ("v", "text"): "d781631f699af9766147d4091d77b3a8bbb3b0f39062277315a22babc8b36a5d",
+    ("v", "json"): "3c4ca62d1b9b2cc85d04853781ce0f83cab6520fe04508f8e157c39482259c3a",
 }
 
 
-@pytest.mark.parametrize("category, seed, fmt", sorted(AXIOMS_LEVEL_4))
-def test_axioms_level_four_output_is_pinned(capsys, category, seed, fmt):
-    argv = ["axioms", "--category", category, "--level", "4", "--samples", "300", "--seed", str(seed)]
+@pytest.mark.parametrize("category, fmt", sorted(AXIOMS_LEVEL_4))
+def test_axioms_level_four_output_is_pinned(capsys, category, fmt):
+    argv = ["axioms", "--category", category, "--level", "4", "--samples", "300", "--seed", "0"]
     assert main(argv + ["--format", fmt]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_LEVEL_4[category, seed, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_LEVEL_4[category, fmt]
 
 
 OVERWEIGHT = {

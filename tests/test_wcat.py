@@ -102,11 +102,17 @@ def test_make_rejects_negatives_and_nonints():
             "i_1 must be an integer, got '0'",
             None,
         ),
+        # a hand-built list spine is copied into the composite, not concatenated to a tuple
+        (
+            lambda: w_compose(1, WCell(5, [(1, 0), (3, 0)]), WCell(0, [(0, 0), (3, 0)])),
+            "level 1: entry above level 1 must be < i_1-j_1=1, got 5",
+            1,
+        ),
     ],
     ids=["head", "bool", "negative-i", "non-int-j", "j-above-i", "degenerate", "bound",
          "empty-spine", "identity-of-negative", "spine-number", "spine-none", "entry-number",
          "entry-triple", "compose-invalid-operand", "compose-str-head", "compose-none-head",
-         "compose-outer-none-head", "compose-str-entry"],
+         "compose-outer-none-head", "compose-str-entry", "compose-list-spine"],
 )
 def test_make_error_text(make, message, level):
     with pytest.raises(ConstraintViolation) as e:
@@ -177,6 +183,13 @@ def test_compose_top_depth_keeps_lower_spine():
     a = cell(0, [(2, 1), (3, 0)])
     c = cell(0, [(1, 0), (3, 0)])
     assert w_compose(1, a, c) == cell(0, [(2, 0), (3, 0)])
+
+
+def test_compose_of_hand_built_list_spines():
+    a = WCell(0, [(2, 1), (3, 0)])
+    c = WCell(0, [(1, 0), (3, 0)])
+    assert w_compose(1, a, c) == cell(0, [(2, 0), (3, 0)])
+    assert w_compose(0, WCell(0, [(2, 1)]), WCell(0, [(1, 0)])) == cell(0, [(2, 0)])
 
 
 def test_compose_heads_add():
