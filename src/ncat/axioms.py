@@ -29,6 +29,7 @@ categories normalize is the identity and the laws hold literally.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice
 from typing import NamedTuple
@@ -41,6 +42,7 @@ __all__ = [
     "AxiomReport",
     "composable",
     "composable_pairs",
+    "ChainIndex",
     "check_globularity",
     "check_axioms",
 ]
@@ -124,17 +126,48 @@ def _depth(p, la: int, lc: int) -> int:
     return la
 
 
-def composable_pairs(chain, p, inner, outer):
-    """Yield each (a, c), a from inner and c from outer, with chain(a, p, 1)
-    (a's depth-p t-chain) equal to chain(c, p, 0) (c's s-chain): a in input
-    order, then c in input order.  The one composability index, shared by
-    the law engine and X (closure and pair lists)."""
-    by_source = {}
-    for c in outer:
-        by_source.setdefault(chain(c, p, 0), []).append(c)
-    for a in inner:
-        for c in by_source.get(chain(a, p, 1), ()):
-            yield a, c
+class ChainIndex:
+    """The one composability index at depth p, shared by the law engine and
+    X (closure and pair lists).  chain(x, p, side) is x's depth-p s-chain
+    (side 0) or t-chain (side 1).  The index holds the cells added so far in
+    order, each one's t-chain, and their positions by s-chain; add() extends
+    it in place, so a fixpoint keeps one index for all its rounds and
+    computes each cell's chains once."""
+
+    __slots__ = ("chain", "p", "cells", "targets", "by_source")
+
+    def __init__(self, chain, p: int):
+        self.chain, self.p = chain, p
+        self.cells, self.targets, self.by_source = [], [], {}
+
+    def add(self, cells) -> range:
+        """Append cells to the index; the range of their positions."""
+        chain, p, by_source, target = self.chain, self.p, self.by_source, self.targets.append
+        start = len(self.cells)
+        for i, x in enumerate(cells, start):
+            target(chain(x, p, 1))
+            by_source.setdefault(chain(x, p, 0), []).append(i)
+        self.cells.extend(cells)
+        return range(start, len(self.cells))
+
+    def pairs(self, inner, first: int = 0):
+        """Yield each (a, c) with a's t-chain equal to c's s-chain, a at a
+        position in inner and c at a position >= first: a in position
+        order, then c."""
+        cells, targets, get = self.cells, self.targets, self.by_source.get
+        for i in inner:
+            js = get(targets[i])
+            if js and js[-1] >= first:
+                a = cells[i]
+                for j in js[bisect_left(js, first) :] if first else js:
+                    yield a, cells[j]
+
+
+def composable_pairs(chain, p, cells):
+    """Yield each composable (a, c) among cells at depth p, a in input order,
+    then c in input order, through a ChainIndex built over them."""
+    index = ChainIndex(chain, p)
+    return index.pairs(index.add(cells))
 
 
 class _Law:
@@ -338,7 +371,7 @@ class _Run:
                 else:
                     self.unwalked[l, p].append((x, t))
             self.keys[l, p] = keys
-            index = composable_pairs(lambda x, _, side: keys[x][side], p, walked, walked)
+            index = composable_pairs(lambda x, _, side: keys[x][side], p, walked)
             self._pairs[l, p] = list(islice(index, self.cap))
         return self._pairs[l, p]
 

@@ -15,9 +15,11 @@ produces but not in general.
 Every label X builds is normal by construction: enumerated cells carry
 atoms and diagonals of atoms, and composition glues two normal labels with
 glue, which absorbs a diagonal at the seam at once and rewrites any other
-pair's pieces without normalizing either half again.  Labels are tagged
-tuples and cells named tuples, so hashing, equality and sorting run in C,
-and a cell is its own sort key.
+pair's pieces without normalizing either half again; pieces that are
+pairwise distinct and hold no diagonal need no rule and are only joined.
+Labels are tagged tuples and cells named tuples, so hashing, equality and
+sorting run in C, and a cell is its own sort key; the hot paths build
+them with tuple.__new__, past the Python-level constructors.
 
 XCategory enumerates a level: the registered points of every declared
 moduli space at that level, plus one synthesized diagonal cell for each
@@ -26,9 +28,11 @@ points on positive-dimensional spaces and base points get no diagonal
 cell.  Composites (Seq-headed cells) are only enumerated on request, by
 closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  The
-closure fills its composite table, keyed (p, a, c), which compose reads
-first, and glues each label pair with no diagonal once, through its table
-keyed (u, v).  compose is the one composition path: x_compose is
+closure keeps one axioms.ChainIndex per depth for all its rounds and
+fills its composite table, keyed (p, a, c), which compose reads first.
+It glues each label pair that needs work once, through its table keyed
+(u, v): every pair of real labels, and every pair of two different
+diagonals.  compose is the one composition path: x_compose is
 XCategory(fd).compose.
 """
 
@@ -38,7 +42,7 @@ import warnings
 from operator import itemgetter
 from typing import NamedTuple
 
-from .axioms import _depth, composable_pairs
+from .axioms import ChainIndex, _depth, composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -61,6 +65,9 @@ __all__ = [
     "x_render",
     "XCategory",
 ]
+
+
+_new = tuple.__new__  # builds a label or cell without a Python-level __new__
 
 
 class _Label(tuple):
@@ -183,7 +190,11 @@ def _pieces(x) -> list:
 
 
 def _rewrite(parts: list, fd):
-    """(2)-(4) on a flat list of normal pieces; the label they glue to."""
+    """(2)-(4) on a flat list of two or more normal pieces; the label they
+    glue to.  Pieces that are pairwise distinct, none a diagonal, are that
+    label as they stand: (4) needs a repeated piece, (2) and (3) a diagonal."""
+    if Pt not in map(type, parts) and len(set(parts)) == len(parts):
+        return _new(Seq, (2, tuple(parts)))
     parts = _collapse(parts, fd)
     # (2) absorb diagonal pieces when a real piece remains; dropping them
     # can bring equal point-like blocks together, so (4) runs once more
@@ -243,9 +254,10 @@ def x_render(cell: XCell) -> str:
 
 def _face(cell: XCell, side: int, name: str) -> XCell:
     """The top pair's label at side (0: source, 1: target) over the rest of the spine."""
-    if _require_cell(cell).level == 0:
+    spine = _require_cell(cell)[1]
+    if not spine:
         raise NoSource(f"level-0 cells have no {name}")
-    return XCell(cell.spine[0][side], cell.spine[1:])
+    return _new(XCell, (spine[0][side], spine[1:]))
 
 
 def x_source(cell: XCell) -> XCell:
@@ -258,14 +270,16 @@ def x_target(cell: XCell) -> XCell:
 
 def x_identity(cell: XCell) -> XCell:
     """The unique point of the diagonal space over the cell."""
-    return XCell(Pt(_require_cell(cell).head), ((cell.head, cell.head),) + cell.spine)
+    head, spine = _require_cell(cell)
+    return _new(XCell, (_new(Pt, (1, head)), ((head, head),) + spine))
 
 
 def _chain_key(cell: XCell, p: int, side: int) -> tuple:
     """(head, spine) of the depth-p s-chain (side 0) or t-chain (side 1):
     x_source or x_target applied level - p times."""
-    k = cell.level - p
-    return cell.spine[k - 1][side], cell.spine[k:]
+    spine = cell[1]
+    k = len(spine) - p
+    return spine[k - 1][side], spine[k:]
 
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
@@ -363,54 +377,65 @@ class XCategory:
 
     def _close_under_composition(self, level: int, cells: list) -> list:
         """Semi-naive fixpoint: each round composes only the pairs with a cell
-        that the previous round added (the frontier), into the composite table."""
-        pool = list(cells)
-        seen = set(pool)
-        frontier = pool
+        that the previous round added (the frontier), into the composite
+        table, so each composable pair of the closed set is glued once.
+        Each depth keeps one ChainIndex for every round, so each cell's
+        chains are computed once: a round adds the frontier to it, then
+        composes the frontier, as inner cells, with every cell added so far,
+        and the cells added before it with the frontier."""
+        composites, glue_cells = self._composites, self._glue_cells
+        seen = set(cells)
+        indexes = [ChainIndex(_chain_key, p) for p in range(level)]
+        frontier = cells
         while frontier:
-            new = set(frontier)
-            old = [x for x in pool if x not in new]
             fresh = []
-            for p in range(level):
-                for inner, outer in ((frontier, pool), (old, frontier)):
-                    for a, c in composable_pairs(_chain_key, p, inner, outer):
-                        out = self._composites[p, a, c] = self._glue_cells(p, a, c)
+            for index in indexes:
+                p, old = index.p, len(index.cells)
+                new = index.add(frontier)
+                for pairs in (index.pairs(new), index.pairs(range(old), old)):
+                    for a, c in pairs:
+                        out = composites[p, a, c] = glue_cells(p, a, c)
                         if out not in seen:
                             seen.add(out)
                             fresh.append(out)
-            pool = pool + fresh
             frontier = fresh
-        return sorted(pool)
+        return sorted(seen)
 
     def _glue_cells(self, p: int, a: XCell, c: XCell) -> XCell:
         """``c o_p a`` for a composable pair, unchecked: labels above depth p glue
         pairwise to normal ones, the pair at p splices, the rest is shared."""
-        top = a.level - 1 - p
-        head = self._glue(a.head, c.head)
-        spine = [
-            (self._glue(a.spine[k][0], c.spine[k][0]), self._glue(a.spine[k][1], c.spine[k][1]))
-            for k in range(top)
-        ]
-        spine.append((a.spine[top][0], c.spine[top][1]))
-        spine.extend(a.spine[top + 1 :])
-        return XCell(head, tuple(spine))
+        glue, (ha, sa), (hc, sc) = self._glue, a, c
+        top = len(sa) - 1 - p
+        head = glue(ha, hc)
+        spine = [(glue(sa[k][0], sc[k][0]), glue(sa[k][1], sc[k][1])) for k in range(top)]
+        spine.append((sa[top][0], sc[top][1]))
+        return _new(XCell, (head, tuple(spine) + sa[top + 1 :]))
 
     def _glue(self, u, v):
-        """glue over this document; each pair with no diagonal, inside (3) too, is glued once."""
-        if type(u) is Pt or type(v) is Pt:
-            if type(u) is type(v) and u != v:
-                return Pt(self._glue(u.of, v.of))
-            return glue(u, v, self.fd)
-        if (u, v) not in self._glued:
-            self._glued[u, v] = glue(u, v, self.fd)
-        return self._glued[u, v]
+        """glue over this document.  A diagonal beside a real label, or glued
+        to itself, is absorbed at once, as glue does; every other pair, two
+        different diagonals too, is glued once through the table, so two
+        deep diagonals cost one lookup, not a lookup per level of (3)."""
+        if type(v) is Pt:
+            if type(u) is not Pt or u is v:
+                return u
+        elif type(u) is Pt:
+            return v
+        out = self._glued.get((u, v))
+        if out is None:
+            if type(u) is Pt and u != v:
+                out = _new(Pt, (1, self._glue(u[1], v[1])))
+            else:
+                out = glue(u, v, self.fd)
+            self._glued[u, v] = out
+        return out
 
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""
         cells = self.cells(level)
         if cells:
             _depth(p, level, level)
-        return list(composable_pairs(_chain_key, p, cells, cells))
+        return list(composable_pairs(_chain_key, p, cells))
 
     def level_of(self, cell) -> int:
         return _require_cell(cell).level

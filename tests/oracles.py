@@ -12,6 +12,7 @@ it normalizes every part of every label it is given, from scratch.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from ncat.xcat import (
@@ -206,15 +207,31 @@ def uncached_cell_key(cell):
     return (k(cell.head), tuple((k(s), k(t)) for s, t in cell.spine))
 
 
-def naive_closure(fd, level: int) -> list:
+def tilted_torus_level1_count(n: int) -> int:
+    """Closed level-1 cells of tilted_torus(n), from the shape alone.  A
+    closed level-1 cell is a broken flow line along a strict chain
+    S > U1 > ... > T, one point per factor, and no rewrite applies to it:
+    level 1 has no diagonals, and adjacent pieces lie in different spaces.
+    A factor that drops b elements has 2^b components of b points each, so
+    the lines across a gap of m elements number a(m), with a(0) = 1 and
+    a(m) = sum over b of C(m, b) b 2^b a(m - b); the pairs S > T with a gap
+    of m number C(n, m) 2^(n - m)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m, b) * b * 2**b * a[m - b] for b in range(1, m + 1)))
+    return sum(math.comb(n, m) * 2 ** (n - m) * a[m] for m in range(1, n + 1))
+
+
+def naive_closure(fd, level: int, compose=x_compose) -> list:
     """The level's cells closed under composition by the plain fixpoint:
     every round composes every composable pair of the whole pool, until
-    a round adds nothing.  Sorted by uncached_cell_key."""
+    a round adds nothing.  Sorted by uncached_cell_key.  compose(fd, p, a,
+    c) glues a pair; reference_compose keeps xcat's glue out of it."""
     pool = set(x_cells(fd, level))
     while True:
         cells = sorted(pool, key=uncached_cell_key)
         new = {
-            x_compose(fd, p, a, c)
+            compose(fd, p, a, c)
             for p in range(level)
             for a, c in brute_composable_pairs(
                 cells, p, x_source, x_target, lambda x: x.level

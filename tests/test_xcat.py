@@ -23,6 +23,7 @@ from ncat.axioms import check_axioms, check_globularity
 from ncat.cli import main as cli_main
 from ncat.errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from ncat.flowdata import FlowData, parse_flow_data, validate_flow_data
+from ncat.families import tilted_torus
 from ncat.functors import check_functor_laws
 from ncat.torus import torus_document, torus_flow_data
 from ncat.xcat import (
@@ -59,6 +60,12 @@ FD = torus_flow_data()
 
 def chain_fd(k, m):
     fd = parse_flow_data(json.dumps(chain_document(k, m)))
+    assert validate_flow_data(fd).passed
+    return fd
+
+
+def tt_fd(n):
+    fd = parse_flow_data(json.dumps(tilted_torus(n)))
     assert validate_flow_data(fd).passed
     return fd
 
@@ -293,6 +300,58 @@ def test_diagonal_seam_cases(fd):
         assert out == want == reference_normalize(Seq((u, v)), fd)
         if type(u) is not type(v):  # a real label is returned itself
             assert out is (v if type(u) is Pt else u)
+
+
+def test_distinct_real_pieces_are_joined_without_a_rewrite(monkeypatch):
+    # no rule can fire on pairwise distinct pieces with no diagonal among them
+    def no_collapse(parts, fd):
+        raise AssertionError(f"_collapse called on {parts}")
+
+    monkeypatch.setattr(xcat, "_collapse", no_collapse)
+    s = seq(atom("wx_d"), atom("xz_d"))
+    cases = [
+        (atom("wx_d"), atom("xz_d")),
+        (s, atom("wz_max_dd")),
+        (atom("wz_min_ds"), s),
+        (s, seq(atom("wy_s"), atom("yz_s"))),
+    ]
+    for fd in (FD, None):
+        for u, v in cases:
+            assert glue(u, v, fd) == Seq(tuple(xcat._pieces(u) + xcat._pieces(v)))
+
+
+def test_a_repeated_point_like_piece_at_the_seam_still_collapses(monkeypatch):
+    collapsed = []
+    real = xcat._collapse
+
+    def counting(parts, fd):
+        collapsed.append(list(parts))
+        return real(parts, fd)
+
+    monkeypatch.setattr(xcat, "_collapse", counting)
+    s = seq(atom("wx_d"), atom("xz_d"))
+    cases = [  # u, v, glue(u, v, FD): xz_d and wx_d are point-like, wz_max_dd is not
+        (atom("wx_d"), atom("wx_d"), atom("wx_d")),
+        (s, atom("xz_d"), s),
+        (s, seq(atom("xz_d"), atom("wz_max_dd")), seq(atom("wx_d"), atom("xz_d"), atom("wz_max_dd"))),
+        (atom("wz_max_dd"), atom("wz_max_dd"), seq(atom("wz_max_dd"), atom("wz_max_dd"))),
+    ]
+    for u, v, want in cases:
+        collapsed.clear()
+        assert glue(u, v, FD) == want == reference_normalize(Seq((u, v)), FD)
+        assert collapsed  # a repeated piece takes the rewrite
+
+
+TT3 = tt_fd(3)
+TT3_LABELS = sorted(
+    {lab for l in range(4) for c in XCategory(TT3, True).cells(l) for lab in (c.head, *sum(c.spine, ()))}
+)
+
+
+@given(st.sampled_from(TT3_LABELS), st.sampled_from(TT3_LABELS))
+@settings(max_examples=300)
+def test_prop_glue_of_closed_tilted_torus_labels_matches_reference(u, v):
+    assert glue(u, v, TT3) == reference_normalize(Seq((u, v)), TT3)
 
 
 TREE_IDS = ["w", "x", "wx_d", "xz_d", "wz_max_dd", "wz_min_dd"]
@@ -533,8 +592,13 @@ def test_each_cell_is_normalized_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "fd, closed, distinct",
-    [(lambda: chain_fd(4, 2), 236, 444), (lambda: chain_fd(3, 3), 198, 414), (lambda: FD, 32, 128)],
-    ids=["chain-4-2", "chain-3-3", "torus"],
+    [
+        (lambda: chain_fd(4, 2), 236, 444),
+        (lambda: chain_fd(3, 3), 198, 414),
+        (lambda: FD, 32, 128),
+        (lambda: tt_fd(3), 1096, 3128),
+    ],
+    ids=["chain-4-2", "chain-3-3", "torus", "tilted-torus-3"],
 )
 def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
     # closed: the (p, A, C) the closure glues; distinct: those that the
@@ -584,8 +648,9 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
         (lambda: chain_fd(4, 2), [52, 52, 236, 57, 180, 156, 92, 92]),
         (lambda: chain_fd(3, 3), [54, 54, 198, 58, 108, 162, 72, 72]),
         (lambda: FD, [20, 20, 32, 28, 16, 64, 8, 8]),
+        (lambda: tt_fd(3), [456, 456, 1096, 528, 600, 1424, 608, 560]),
     ],
-    ids=["chain-4-2", "chain-3-3", "torus"],
+    ids=["chain-4-2", "chain-3-3", "torus", "tilted-torus-3"],
 )
 def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
     # the closure, globularity and the X laws on one instance: a label pair
