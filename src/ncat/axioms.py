@@ -29,6 +29,7 @@ categories normalize is the identity and the laws hold literally.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice
@@ -284,6 +285,8 @@ class _Run:
             raise InvalidArguments(f"samples must be an integer or None, got {samples!r}")
         if samples is not None and samples < 0:
             raise InvalidArguments(f"samples must be non-negative, got {samples}")
+        if samples is not None and samples >= sys.maxsize:  # caps nothing: no list is that long,
+            samples = None  # and islice takes no larger stop
         self.cat = cat
         self.cap = samples
         if levels is None:

@@ -30,15 +30,15 @@ closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  The
 closure keeps one axioms.ChainIndex per depth for all its rounds and
 fills its composite table, keyed (p, a, c), which compose reads first.
-It glues each label pair that needs work once, through its table keyed
-(u, v): every pair of real labels, and every pair of two different
-diagonals.  compose is the one composition path: x_compose is
-XCategory(fd).compose.
+Its labels glue through the one gluing function, _glue_in, bound to its
+label-pair table keyed (u, v), which glue uses over a table of its own.
+compose is the one composition path: x_compose is XCategory(fd).compose.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -171,17 +171,35 @@ def normalize(x, fd: "FlowData | None" = None):
 
 
 def glue(u, v, fd: "FlowData | None" = None):
-    """normalize(Seq((u, v)), fd) for normal labels u and v.  A diagonal at
-    the seam needs no rewrite: a normal label with a real piece holds no Pt
-    pieces ((2) removed them; (3) turns a gluing of diagonals into a
-    diagonal), so Pt(a) glued to it leaves it, Pt(a) to Pt(a) is Pt(a) by
-    (4), and Pt(a) to Pt(b) is Pt(glue(a, b)) by (3).  Any other pair's
-    pieces are concatenated and rewritten, neither half normalized again."""
+    """normalize(Seq((u, v)), fd) for normal labels u and v: _glue_in over
+    a label-pair table of its own."""
+    return _glue_in({}, fd, u, v)
+
+
+def _glue_in(table: dict, fd, u, v):
+    """glue(u, v, fd) through table, keyed (u, v): the one gluing code.  A
+    diagonal at the seam needs no rewrite: a normal label with a real piece
+    holds no Pt pieces ((2) removed them; (3) turns a gluing of diagonals
+    into a diagonal), so Pt(a) glued to it, or to itself, leaves it with no
+    lookup.  Any other pair is glued once and stored: Pt(a) to an equal
+    Pt(a) is Pt(a) by (4), Pt(a) to Pt(b) is Pt(glue(a, b)) by (3), through
+    the same table, and any other pair's pieces are concatenated and
+    rewritten, neither half normalized again."""
     if type(v) is Pt:
-        return u if type(u) is not Pt or u == v else Pt(glue(u.of, v.of, fd))
-    if type(u) is Pt:
+        if type(u) is not Pt or u is v:
+            return u
+    elif type(u) is Pt:
         return v
-    return _rewrite(_pieces(u) + _pieces(v), fd)
+    out = table.get((u, v))
+    if out is None:
+        if type(u) is not Pt:
+            out = _rewrite(_pieces(u) + _pieces(v), fd)
+        elif u == v:
+            out = u
+        else:
+            out = _new(Pt, (1, _glue_in(table, fd, u[1], v[1])))
+        table[u, v] = out
+    return out
 
 
 def _pieces(x) -> list:
@@ -340,6 +358,7 @@ class XCategory:
         self._cells = {}
         self._composites = {}  # (p, a, c) -> c o_p a
         self._glued = {}  # (u, v) -> glue(u, v, fd); per document, as point_like reads fd
+        self._glue_labels = partial(_glue_in, self._glued, fd)  # no frame of its own
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -404,31 +423,12 @@ class XCategory:
     def _glue_cells(self, p: int, a: XCell, c: XCell) -> XCell:
         """``c o_p a`` for a composable pair, unchecked: labels above depth p glue
         pairwise to normal ones, the pair at p splices, the rest is shared."""
-        glue, (ha, sa), (hc, sc) = self._glue, a, c
+        glue, (ha, sa), (hc, sc) = self._glue_labels, a, c
         top = len(sa) - 1 - p
         head = glue(ha, hc)
         spine = [(glue(sa[k][0], sc[k][0]), glue(sa[k][1], sc[k][1])) for k in range(top)]
         spine.append((sa[top][0], sc[top][1]))
         return _new(XCell, (head, tuple(spine) + sa[top + 1 :]))
-
-    def _glue(self, u, v):
-        """glue over this document.  A diagonal beside a real label, or glued
-        to itself, is absorbed at once, as glue does; every other pair, two
-        different diagonals too, is glued once through the table, so two
-        deep diagonals cost one lookup, not a lookup per level of (3)."""
-        if type(v) is Pt:
-            if type(u) is not Pt or u is v:
-                return u
-        elif type(u) is Pt:
-            return v
-        out = self._glued.get((u, v))
-        if out is None:
-            if type(u) is Pt and u != v:
-                out = _new(Pt, (1, self._glue(u[1], v[1])))
-            else:
-                out = glue(u, v, self.fd)
-            self._glued[u, v] = out
-        return out
 
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -34,6 +35,7 @@ from ncat.wcat import (
     w_source,
     w_target,
 )
+from ncat.xcat import XCategory
 
 from oracles import brute_composable_pairs, capped_law_instances, chain_document, sampled_levels
 
@@ -398,6 +400,15 @@ def test_negative_samples_are_invalid_arguments():
             check_axioms(WCategory(max_level=1, bound=2), samples=bad)
     with pytest.raises(InvalidArguments, match="^samples must be non-negative, got -1$"):
         check_axioms(WCategory(max_level=1, bound=2), samples=-1)
+
+
+@pytest.mark.parametrize("cap", [sys.maxsize, sys.maxsize + 1, 2**70], ids=["maxsize", "maxsize+1", "2**70"])
+@pytest.mark.parametrize(
+    "cat", [lambda: WCategory(2, 2), lambda: XCategory(torus_flow_data(), include_composites=True)], ids=["w", "x"]
+)
+def test_a_cap_past_maxsize_checks_everything(cat, cap):
+    # islice took no stop past sys.maxsize: these caps raised ValueError
+    assert check_axioms(cat(), samples=cap) == check_axioms(cat(), samples=10**9)
 
 
 @pytest.mark.parametrize("bad", [1.5, "1", True, None], ids=["float", "str", "bool", "none"])
@@ -897,6 +908,15 @@ TALL = ": raised no boundaries of tall level-2 cells"
 
 def _tall(cell):
     return cell.level == 2 and cell.spine[0][0] >= 2
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_composable_raises_a_stored_boundary_error(p):
+    # composable walks a run's tables, which store the error a boundary raised
+    cat = TallHasNoBoundary(max_level=2, bound=4)
+    tall = next(x for x in cat.cells(2) if _tall(x))
+    with pytest.raises(InvalidArguments, match="^no boundaries of tall level-2 cells$"):
+        composable(cat, p, tall, tall)
 
 
 def test_globularity_computes_no_rhs_after_a_raising_lhs():

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from ncat.cli import main
+from ncat.families import tilted_torus
+
+from oracles import chain_document
 
 CMD = [sys.executable, "-m", "ncat"]
 
@@ -296,9 +300,74 @@ def test_negative_counts_are_usage_errors(torus_file, args):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("category", ["w", "x"])
+def test_a_cap_past_maxsize_checks_everything(capsys, torus_file, category):
+    # --samples 2**63 reached islice, which raised ValueError, exit 1
+    args = ["axioms", torus_file, "--category", category, "--level", "2", "--format", "json", "--samples"]
+    reports = []
+    for cap in ("9223372036854775808", "1000000"):
+        assert main(args + [cap]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_lone_surrogate_is_exit_two(tmp_path, fmt):
     content = '{"name": "\\ud800", "max_level": 0, "base_points": [], "moduli": []}'
     out = run("validate", _document_file(tmp_path, content), "--format", fmt)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == "ncat: SchemaError: $.name: lone surrogate U+D800 at character 0\n"
+
+
+# ------------------------------------------------- the interpreter process
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every value type is a NamedTuple, so CLI start needs no dataclasses
+    done = subprocess.run([sys.executable, "-c", "import sys, ncat.cli; sys.exit('dataclasses' in sys.modules)"])
+    assert done.returncode == 0
+
+
+@pytest.mark.parametrize("args", [["-c", "import ncat.cli"], ["-m", "ncat", "torus"]], ids=["import", "torus"])
+def test_the_cli_raises_no_warning(args):
+    # -W error makes a deprecation warning on a newer Python fail the run
+    done = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def seed_documents(tmp_path_factory, torus_file):
+    folder = tmp_path_factory.mktemp("seeds")
+    docs = {"torus": torus_file}
+    for name, doc in (("chain-4-2", chain_document(4, 2)), ("tilted-torus-3", tilted_torus(3))):
+        docs[name] = str(folder / f"{name}.json")
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return docs
+
+
+# Label and cell hashes are tuple hashes over str ids, which PYTHONHASHSEED
+# changes, so no output may follow set or dict hash order.  XCategory's
+# composite table and its label-pair table, which every compose miss glues
+# through (the capped chain run has such misses), are such dicts.  Only a
+# document above level 2 glues pairs of diagonals deeply, so tilted_torus(3)
+# runs at level 3.
+HASH_SEED_RUNS = [
+    ("build", "torus"),
+    ("functor --target g", "torus"),
+    ("functor --target f", "torus"),
+    ("axioms --category x --format json", "torus"),
+    ("axioms --category x --format json", "chain-4-2"),
+    ("axioms --category x --samples 7 --seed 3 --format json", "chain-4-2"),
+    ("build --level 3", "tilted-torus-3"),
+    ("axioms --category x --level 3 --format json", "tilted-torus-3"),
+]
+
+
+@pytest.mark.parametrize("args, doc", HASH_SEED_RUNS, ids=[f"{a}:{d}" for a, d in HASH_SEED_RUNS])
+def test_output_does_not_depend_on_the_hash_seed(seed_documents, args, doc):
+    outs = [
+        subprocess.run(CMD + args.split() + [seed_documents[doc]], capture_output=True,
+                       env=dict(os.environ, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout

@@ -131,3 +131,32 @@ def test_functor_laws_hold_at_level_three(target):
         f"functor-{target}-compose": 1096,
         "index-bound": 744,
     }
+
+
+def test_laws_hold_at_level_four():
+    # the X laws where diagonals glue three deep; one closure serves
+    # globularity and the axioms, uncapped, and each functor check closes its own
+    fd = tt_fd(4)
+    cat = XCategory(fd, True)
+    report = check_globularity(cat).merged(check_axioms(cat, samples=None))
+    assert report.passed
+    assert {e.axiom: e.checked for e in report.entries} == {
+        "globular-ss": 9760,
+        "globular-ts": 9760,
+        "comp-st": 31696,
+        "id-st": 10768,
+        "assoc": 20992,
+        "unit": 33200,
+        "binary-interchange": 25968,
+        "nullary-interchange": 20112,
+    }
+    for target in ("g", "f"):
+        report = check_functor_laws(fd, target)
+        assert report.passed
+        assert {e.axiom: e.checked for e in report.entries} == {
+            f"functor-{target}-source": 13920,
+            f"functor-{target}-target": 13920,
+            f"functor-{target}-identity": 10768,
+            f"functor-{target}-compose": 31696,
+            "index-bound": 13920,
+        }

@@ -6,7 +6,7 @@ import pytest
 
 from ncat.errors import DuplicateId, NCatError, SchemaError, UnknownId
 from ncat.flowdata import emit_flow_data, parse_flow_data, validate_flow_data
-from ncat.torus import torus_flow_data
+from ncat.torus import torus_document, torus_flow_data
 
 
 def doc(**overrides):
@@ -175,6 +175,23 @@ def test_validate_index_bound_failure():
     d["moduli"][0]["critical_points"][0]["index"] = 5
     report = validate_flow_data(parse(d))
     assert any(c.check == "index-bound" and c.subject == "ab_d" for c in report.failures())
+
+
+@pytest.mark.parametrize(
+    "target, failed",
+    [("xz_d", ["endpoints"]), ("wz_max_dd", ["endpoints", "dim-formula"])],
+    ids=["other-home", "same-point"],
+)
+def test_validate_endpoints_failure(target, failed):
+    # a level-2 space of the torus from wz_max_dd to a point of another
+    # level-1 space, or to wz_max_dd itself
+    d = torus_document()
+    space = next(sp for sp in d["moduli"] if sp["source"] == "wz_max_dd")
+    space["target"] = target
+    report = validate_flow_data(parse(d))
+    assert [c.check for c in report.failures()] == failed
+    assert report.failures()[0].subject == f"(wz_max_dd,{target})"
+    assert report.failures()[0].detail == "endpoints must be distinct level-1 points with one home"
 
 
 def three_step():

@@ -99,6 +99,7 @@ def test_depth_check_keeps_its_messages(call):
     "call, message",
     [
         (lambda: w_identity(True), "expected a cell, got a bool"),
+        (lambda: w_identity("x"), "expected a WCell, got 'x'"),
         (lambda: w_source("x"), "expected a WCell, got 'x'"),
         (lambda: w_target(W1.spine), "expected a WCell, got ((2, 1),)"),
         (lambda: w_render(1.5), "expected a WCell, got 1.5"),
@@ -123,7 +124,7 @@ def test_depth_check_keeps_its_messages(call):
         (lambda: x_cells(None, 0), "expected a FlowData, got None"),
         (lambda: x_composable_pairs(None, 1, 0), "expected a FlowData, got None"),
     ],
-    ids=["identity-of-bool", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str",
+    ids=["identity-of-bool", "identity-of-str", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str",
          "v-source-of-str", "v-identity-of-int", "v-render-of-none", "x-source-of-str", "x-identity-of-int",
          "x-render-of-none", "x-compose-with-str", "x-compose-with-list", "x-normalize-of-str",
          "composable-w-of-str", "composable-v-of-str", "composable-x-of-str", "x-category-of-none",

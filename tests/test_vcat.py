@@ -55,6 +55,12 @@ def test_render_level_two():
     assert v_render(vcell(0, [(1, 0), (2, 0)])) == "(R^0, Hom(R^1,R^0), Hom(R^2,R^0))"
 
 
+def test_str_is_render():
+    for v in (v_from_w(2), vcell(0, [(2, 1)]), vcell(0, [(1, 0), (2, 0)])):
+        assert str(v) == v_render(v)
+    assert str(VCell(w_make(0, [(2, 1)]))) == "(R^0, Hom(R^2,R^1))"
+
+
 def test_render_rejects_invalid_dims_upstream():
     with pytest.raises(ConstraintViolation):
         vcell(0, [(1, 2), (2, 0)])  # j > i is caught by w_make

@@ -302,6 +302,23 @@ def test_diagonal_seam_cases(fd):
             assert out is (v if type(u) is Pt else u)
 
 
+@pytest.mark.parametrize("build", [lambda: Pt(atom("x")), lambda: Pt(Pt(seq(atom("wx_d"), atom("xz_d"))))],
+                         ids=["diagonal", "diagonal-of-diagonal"])
+def test_equal_diagonals_built_apart_glue_to_the_first(monkeypatch, build):
+    # not one object, so past the short cut: stored as themselves, never rewritten
+    def no_rewrite(parts, fd):
+        raise AssertionError(f"_rewrite called on {parts}")
+
+    monkeypatch.setattr(xcat, "_rewrite", no_rewrite)
+    u, v = build(), build()
+    assert u == v and u is not v
+    assert glue(u, v, FD) is u and glue(v, u, FD) is v
+    cat = XCategory(FD)
+    glue_labels = cat._glue_labels  # the closure's gluing, over its label-pair table
+    assert glue_labels(u, v) is u and glue_labels(v, u) is u  # the second call reads the table
+    assert list(cat._glued.items()) == [((u, v), u)] and next(iter(cat._glued.values())) is u
+
+
 def test_distinct_real_pieces_are_joined_without_a_rewrite(monkeypatch):
     # no rule can fire on pairwise distinct pieces with no diagonal among them
     def no_collapse(parts, fd):
@@ -658,12 +675,12 @@ def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
     # checked: each report entry's count, in report order
     fd = fd()
     stack, rewritten = [], Counter()  # stack: the glue calls in progress
-    real_glue, real_rewrite = xcat.glue, xcat._rewrite
+    real_glue, real_rewrite = xcat._glue_in, xcat._rewrite
 
-    def counted_glue(u, v, fd=None):
+    def counted_glue(table, fd, u, v):
         stack.append((u, v))
         try:
-            return real_glue(u, v, fd)
+            return real_glue(table, fd, u, v)
         finally:
             stack.pop()
 
@@ -676,7 +693,7 @@ def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
         finally:
             stack.pop()
 
-    monkeypatch.setattr(xcat, "glue", counted_glue)
+    monkeypatch.setattr(xcat, "_glue_in", counted_glue)
     monkeypatch.setattr(xcat, "_rewrite", counted_rewrite)
     cat = XCategory(fd, include_composites=True)
     for l in range(fd.max_level + 1):
