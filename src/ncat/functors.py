@@ -7,6 +7,11 @@ of labels: a registered point contributes its declared index, a diagonal
 point contributes 0, a gluing contributes the sum of its pieces — so
 normalization never changes an index, which is what makes G well defined
 on the almost strict structure.
+
+A check_functor_laws run reads each label's index from one table (label
+-> ind), filled on first lookup, for all its images of G or F and its
+index bounds, so the run computes each distinct label's index once; a
+call of functor_g or functor_f computes its labels' indices directly.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments,
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
 from .wcat import WCategory, w_make
-from .xcat import Atom, Pt, XCategory, XCell, x_render
+from .xcat import Atom, Pt, Seq, XCategory, XCell, _LabelTable, _malformed, _not_a_label, x_render
 
 __all__ = ["ind_env", "ind", "functor_g", "functor_f", "check_functor_laws"]
 
 
 def ind_env(fd: FlowData) -> dict:
     """id -> declared index, for every registered point."""
+    if not isinstance(fd, FlowData):
+        raise InvalidArguments(f"expected a FlowData, got {fd!r}")
     return {ident: pt.index for ident, pt in fd.points.items()}
 
 
@@ -35,7 +42,9 @@ def ind(label, env: dict) -> int:
             raise UnknownAtom(label.id) from None
     if isinstance(label, Pt):
         return 0
-    return sum(ind(p, env) for p in label.parts)
+    if isinstance(label, Seq):
+        return sum(ind(p, env) for p in label.parts)
+    raise _not_a_label(label)
 
 
 def functor_g(cell: XCell, env: dict):
@@ -45,26 +54,46 @@ def functor_g(cell: XCell, env: dict):
     satisfy the W constraints (e.g. a declared index too large for the
     space the point sits on).
     """
-    if cell.level == 0:
-        return ind(cell.head, env)
-    try:
-        return w_make(
-            ind(cell.head, env),
-            [(ind(s, env), ind(t, env)) for s, t in cell.spine],
-        )
-    except ConstraintViolation as e:
-        raise FlowDataInconsistent(f"G({x_render(cell)}) is not a valid cell: {e}") from e
+    return _image(_g, cell, env)
 
 
 def functor_f(cell: XCell, env: dict) -> VCell:
     """Dimension data of a cell: the same integers read as space dims,
     assembled independently of functor_g and wrapped as a V cell."""
-    if cell.level == 0:
-        return VCell(ind(cell.head, env))
-    head = ind(cell.head, env)
-    dims = [(ind(s, env), ind(t, env)) for s, t in cell.spine]
+    return _image(_f, cell, env)
+
+
+def _image(through, cell, env):
+    """through(cell, index), each label's index computed from env."""
+    if not isinstance(cell, XCell):
+        raise InvalidArguments(f"expected an XCell, got {cell!r}")
+    if not isinstance(env, dict):  # else its TypeError would read as a malformed cell's
+        raise InvalidArguments(f"expected an index environment (a dict), got {env!r}")
     try:
-        return VCell(w_make(head, dims))
+        return through(cell, lambda label: ind(label, env))
+    except TypeError:
+        raise _malformed(cell) from None
+
+
+def _g(cell: XCell, index):
+    """functor_g, each label's index given by index(label)."""
+    head, spine = cell
+    if not spine:
+        return index(head)
+    try:
+        return w_make(index(head), [(index(s), index(t)) for s, t in spine])
+    except ConstraintViolation as e:
+        raise FlowDataInconsistent(f"G({x_render(cell)}) is not a valid cell: {e}") from e
+
+
+def _f(cell: XCell, index) -> VCell:
+    """functor_f, each label's index given by index(label)."""
+    head, spine = cell
+    if not spine:
+        return VCell(index(head))
+    dims = [(index(s), index(t)) for s, t in spine]
+    try:
+        return VCell(w_make(index(head), dims))
     except ConstraintViolation as e:
         raise FlowDataInconsistent(f"F({x_render(cell)}) is not a valid cell: {e}") from e
 
@@ -79,6 +108,8 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     identity and composites there, are computed once (so the functor must
     be deterministic per cell), and only a failing instance reaches settle.
     Each X composite comes from the closure's composite table, not a glue.
+    The images of G or F and the index bound read one index table for the
+    run, so each distinct label's index is computed once.
     """
     if target == "g":
         name, functor, tcat = "G", functor_g, WCategory()
@@ -87,9 +118,12 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     else:
         raise InvalidArguments(f"unknown functor target {target!r}")
     env = ind_env(fd)
+    index = _LabelTable(ind, env).__getitem__  # ind(label, env), each label's once per run
+    through = _THROUGH.get(functor)  # None for a functor put in place of G or F
+    call = (lambda cell: through(cell, index)) if through else (lambda cell: functor(cell, env))
     cat = XCategory(fd, include_composites=True)
     run = _Run(tcat, 0, None, ())
-    image = _Memo(lambda cell: functor(cell, env), run.ids).peek
+    image = _Memo(call, run.ids).peek
     src, tgt, one, comp = (
         _Law(f"functor-{target}-{law}") for law in ("source", "target", "identity", "compose")
     )
@@ -114,7 +148,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
                 continue
             bound.checked += 1
             s, t = cell.spine[0]
-            head, hi, lo = ind(cell.head, env), ind(s, env), ind(t, env)
+            head, hi, lo = index(cell.head), index(s), index(t)
             if s == t:
                 ok, want = head == 0, "ind(head) = 0 on a degenerate top pair"
             else:
@@ -133,3 +167,8 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
                     run.settle(comp, ctx, (lhs, rhs, "{} != {}"))
 
     return AxiomReport(tuple(law.entry() for law in (src, tgt, one, comp, bound)))
+
+
+# G and F as a check run calls them, on its index table; a functor put in
+# their place is called as functor(cell, env)
+_THROUGH = {functor_g: _g, functor_f: _f}

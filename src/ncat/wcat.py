@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .axioms import _depth
-from .errors import ConstraintViolation, InvalidArguments, NoSource, NotComposable
+from .errors import ConstraintViolation, InvalidArguments, NCatError, NoSource, NotComposable
 
 __all__ = [
     "WCell",
@@ -122,15 +122,34 @@ def _require_cell(q) -> WCell:
     return q
 
 
+def _malformed(*cells) -> NCatError:
+    """The error for hand-built cells that a cell function raised TypeError
+    on: the ConstraintViolation naming the first bad entry, else
+    InvalidArguments naming the first spine that is no tuple of pairs."""
+    bad = cells[0]
+    for q in cells:
+        try:
+            _checked(*q)
+        except ConstraintViolation as e:
+            return e
+        except (TypeError, ValueError):  # a spine entry that does not unpack to a pair
+            bad = q
+            break
+    return InvalidArguments(f"malformed WCell spine {bad[1]!r}")
+
+
 def _face(q: WCell, side: int, name: str):
     """Drop the head, promote the top pair's entry at side (0: i, 1: j)."""
     if q.__class__ is not WCell:
         if isinstance(q, int):
             raise NoSource(f"level-0 cells have no {name}")
         _require_cell(q)
-    spine = q[1]
-    entry = spine[0][side]
-    return entry if len(spine) == 1 else _new(WCell, (entry, spine[1:]))
+    try:
+        spine = q[1]
+        entry = spine[0][side]
+        return entry if len(spine) == 1 else _new(WCell, (entry, spine[1:]))
+    except (TypeError, IndexError):
+        raise _malformed(q) from None
 
 
 def w_source(q: WCell):
@@ -152,7 +171,10 @@ def w_identity(q) -> WCell:
             _as_entry(q, "cell")
             return _new(WCell, (0, ((q, q),)))
         _require_cell(q)
-    return _new(WCell, (0, ((q[0], q[0]),) + q[1]))
+    try:
+        return _new(WCell, (0, ((q[0], q[0]),) + q[1]))
+    except TypeError:
+        raise _malformed(q) from None
 
 
 def w_composable(p: int, q, r) -> bool:
@@ -161,6 +183,8 @@ def w_composable(p: int, q, r) -> bool:
         _check_composable(p, q, r)
     except NotComposable:
         return False
+    except TypeError:
+        raise _malformed(q, r) from None
     return True
 
 
@@ -185,17 +209,15 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     for valid operands: above any non-degenerate level both strict bounds
     add, and a degenerate level forces both summands above it to be 0.
     """
-    top = _check_composable(p, q, r)
-    qs, rs = q[1], r[1]
     try:
+        top = _check_composable(p, q, r)
+        qs, rs = q[1], r[1]
         head = q[0] + r[0]
         spine = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(qs[:top], rs[:top])]
-    except TypeError:  # a hand-built operand with an entry that does not add
-        for operand in (q, r):
-            _checked(*operand)  # raises, naming the entry
-        raise
-    spine.append((qs[top][0], rs[top][1]))
-    spine.extend(qs[top + 1 :])
+        spine.append((qs[top][0], rs[top][1]))
+        spine.extend(qs[top + 1 :])
+    except TypeError:  # a hand-built operand: an entry that does not add, or a spine of non-pairs
+        raise _malformed(q, r) from None
     return _checked(head, tuple(spine))
 
 
@@ -228,8 +250,11 @@ def w_render(q) -> str:
     if isinstance(q, int):
         return str(q)
     _require_cell(q)
-    front = " ".join(str(i) for i, _ in q.spine)
-    back = " ".join(str(j) for _, j in q.spine)
+    try:
+        front = " ".join(str(i) for i, _ in q.spine)
+        back = " ".join(str(j) for _, j in q.spine)
+    except TypeError:
+        raise _malformed(q) from None
     return f"({q.head}, [{front} ; {back}])"
 
 

@@ -32,7 +32,12 @@ closure keeps one axioms.ChainIndex per depth for all its rounds and
 fills its composite table, keyed (p, a, c), which compose reads first.
 Its labels glue through the one gluing function, _glue_in, bound to its
 label-pair table keyed (u, v), which glue uses over a table of its own.
-compose is the one composition path: x_compose is XCategory(fd).compose.
+A third table maps a label to its normal form; normalize reads it, so an
+instance normalizes each distinct label once.  The last two belong to one
+instance, as point_like reads its document.  compose is the one
+composition path: x_compose is XCategory(fd).compose.  It tests its
+operands' class once, and on a table miss the depth and the two chain
+keys once, before it glues.
 """
 
 from __future__ import annotations
@@ -132,7 +137,13 @@ def point_like(x, fd: "FlowData | None") -> bool:
             return False
         home = fd.home_of(x.id)
         return home is not None and home.dim == 0
-    return all(point_like(p, fd) for p in x.parts)
+    if isinstance(x, Seq):
+        return all(point_like(p, fd) for p in x.parts)
+    raise _not_a_label(x)
+
+
+def _not_a_label(x) -> InvalidArguments:
+    return InvalidArguments(f"expected a label, got {x!r}")
 
 
 def normalize(x, fd: "FlowData | None" = None):
@@ -163,6 +174,8 @@ def normalize(x, fd: "FlowData | None" = None):
         return x
     if isinstance(x, Pt):
         return Pt(normalize(x.of, fd))
+    if not isinstance(x, Seq):
+        raise _not_a_label(x)
     # (1) flatten; normal parts hold no gluings, so one level is enough
     parts = []
     for p in x.parts:
@@ -173,6 +186,9 @@ def normalize(x, fd: "FlowData | None" = None):
 def glue(u, v, fd: "FlowData | None" = None):
     """normalize(Seq((u, v)), fd) for normal labels u and v: _glue_in over
     a label-pair table of its own."""
+    for x in (u, v):
+        if not isinstance(x, _Label):
+            raise _not_a_label(x)
     return _glue_in({}, fd, u, v)
 
 
@@ -192,8 +208,10 @@ def _glue_in(table: dict, fd, u, v):
         return v
     out = table.get((u, v))
     if out is None:
-        if type(u) is not Pt:
-            out = _rewrite(_pieces(u) + _pieces(v), fd)
+        if type(u) is not Pt:  # the pieces of both, as _pieces gives them
+            parts = [*u[1]] if type(u) is Seq else [u]
+            parts += v[1] if type(v) is Seq else (v,)
+            out = _rewrite(parts, fd)
         elif u == v:
             out = u
         else:
@@ -242,6 +260,21 @@ def _collapse(parts: list, fd) -> list:
     return parts
 
 
+class _LabelTable(dict):
+    """label -> call(label, arg), each label's computed on its first lookup
+    and kept as long as the table: an XCategory's normal forms, or the
+    indices of one functor-law check."""
+
+    __slots__ = ("call", "arg")
+
+    def __init__(self, call, arg):
+        self.call, self.arg = call, arg
+
+    def __missing__(self, label):
+        out = self[label] = self.call(label, self.arg)
+        return out
+
+
 class XCell(NamedTuple):
     """A head label over a top-down spine of (source, target) label pairs,
     as the named tuple (head, spine): cells sort by head, then spine."""
@@ -263,19 +296,32 @@ def _require_cell(cell) -> XCell:
     return cell
 
 
+def _malformed(*cells) -> InvalidArguments:
+    """The error for hand-built cells that a cell function raised TypeError on."""
+    return InvalidArguments("malformed XCell: " + " or ".join(map(repr, cells)))
+
+
 def x_render(cell: XCell) -> str:
-    if _require_cell(cell).level == 0:
-        return str(cell.head)
-    pairs = ", ".join(f"{s}->{t}" for s, t in cell.spine)
+    try:
+        if _require_cell(cell).level == 0:
+            return str(cell.head)
+        pairs = ", ".join(f"{s}->{t}" for s, t in cell.spine)
+    except TypeError:
+        raise _malformed(cell) from None
     return f"({cell.head}; {pairs})"
 
 
 def _face(cell: XCell, side: int, name: str) -> XCell:
     """The top pair's label at side (0: source, 1: target) over the rest of the spine."""
-    spine = _require_cell(cell)[1]
-    if not spine:
-        raise NoSource(f"level-0 cells have no {name}")
-    return _new(XCell, (spine[0][side], spine[1:]))
+    if cell.__class__ is not XCell:
+        _require_cell(cell)
+    try:
+        spine = cell[1]
+        if spine:
+            return _new(XCell, (spine[0][side], spine[1:]))
+    except TypeError:
+        raise _malformed(cell) from None
+    raise NoSource(f"level-0 cells have no {name}")
 
 
 def x_source(cell: XCell) -> XCell:
@@ -288,8 +334,13 @@ def x_target(cell: XCell) -> XCell:
 
 def x_identity(cell: XCell) -> XCell:
     """The unique point of the diagonal space over the cell."""
-    head, spine = _require_cell(cell)
-    return _new(XCell, (_new(Pt, (1, head)), ((head, head),) + spine))
+    if cell.__class__ is not XCell:
+        _require_cell(cell)
+    head, spine = cell
+    try:
+        return _new(XCell, (_new(Pt, (1, head)), ((head, head),) + spine))
+    except TypeError:
+        raise _malformed(cell) from None
 
 
 def _chain_key(cell: XCell, p: int, side: int) -> tuple:
@@ -302,7 +353,10 @@ def _chain_key(cell: XCell, p: int, side: int) -> tuple:
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
     _depth(p, _require_cell(a).level, _require_cell(c).level)
-    return _chain_key(a, p, 1) == _chain_key(c, p, 0)
+    try:
+        return _chain_key(a, p, 1) == _chain_key(c, p, 0)
+    except TypeError:
+        raise _malformed(a, c) from None
 
 
 def x_compose(fd: FlowData, p: int, a: XCell, c: XCell) -> XCell:
@@ -359,6 +413,7 @@ class XCategory:
         self._composites = {}  # (p, a, c) -> c o_p a
         self._glued = {}  # (u, v) -> glue(u, v, fd); per document, as point_like reads fd
         self._glue_labels = partial(_glue_in, self._glued, fd)  # no frame of its own
+        self._normal_forms = _LabelTable(normalize, fd)  # label -> normalize(label, fd); per document too
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -426,6 +481,8 @@ class XCategory:
         glue, (ha, sa), (hc, sc) = self._glue_labels, a, c
         top = len(sa) - 1 - p
         head = glue(ha, hc)
+        if not top:  # p = level - 1: only the heads glue
+            return _new(XCell, (head, ((sa[0][0], sc[0][1]),) + sa[1:]))
         spine = [(glue(sa[k][0], sc[k][0]), glue(sa[k][1], sc[k][1])) for k in range(top)]
         spine.append((sa[top][0], sc[top][1]))
         return _new(XCell, (head, tuple(spine) + sa[top + 1 :]))
@@ -447,15 +504,27 @@ class XCategory:
 
     def compose(self, p, a, c):
         """``c o_p a`` from the composite table; a miss is checked and glued, not stored."""
-        key = (p, _require_cell(a), _require_cell(c))  # checked first: the read hashes them
-        out = self._composites.get(key) if type(p) is int else None  # True, 0.0 would match
-        if out is None:
-            if not x_composable(p, a, c):
-                sa, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
-                raise NotComposable(p, f"t-chain {sa} != s-chain {sc}")
-            out = self._glue_cells(p, a, c)
+        if a.__class__ is not XCell or c.__class__ is not XCell:
+            _require_cell(a), _require_cell(c)  # checked first: the read hashes them
+        try:
+            out = self._composites.get((p, a, c)) if p.__class__ is int else None  # True, 0.0 would match
+            if out is None:
+                _depth(p, len(a[1]), len(c[1]))
+                ta, sc = _chain_key(a, p, 1), _chain_key(c, p, 0)
+                if ta != sc:
+                    raise NotComposable(p, f"t-chain {XCell(*ta)} != s-chain {XCell(*sc)}")
+                out = self._glue_cells(p, a, c)
+        except TypeError:
+            raise _malformed(a, c) from None
         return out
 
     def normalize(self, cell):
-        n = lambda lab: normalize(lab, self.fd)
-        return XCell(n(_require_cell(cell).head), tuple((n(s), n(t)) for s, t in cell.spine))
+        """The cell with each label in normal form, read from the instance's
+        normal-form table: each distinct label is normalized once."""
+        if cell.__class__ is not XCell:
+            _require_cell(cell)
+        n = self._normal_forms.__getitem__
+        try:
+            return _new(XCell, (n(cell[0]), tuple([(n(s), n(t)) for s, t in cell[1]])))
+        except TypeError:
+            raise _malformed(cell) from None

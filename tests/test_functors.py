@@ -13,8 +13,9 @@ from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
 from ncat.torus import torus_flow_data
 from ncat.vcat import v_render, v_to_w
 from ncat.wcat import WCategory, w_make
-from ncat.xcat import Atom, Pt, Seq, XCell, x_cells, x_compose, x_identity, x_render
+from ncat.xcat import Atom, Pt, Seq, XCategory, XCell, x_cells, x_compose, x_identity, x_render
 
+from ncat.families import tilted_torus
 from oracles import chain_document
 from test_axioms import CallLog
 
@@ -161,6 +162,37 @@ def test_each_image_is_computed_once(monkeypatch, target, name):
     report = check_functor_laws(FD, target)
     assert images and set(images.values()) == {1}
     assert report.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [lambda: FD, lambda: parse_flow_data(json.dumps(chain_document(4, 2))),
+     lambda: parse_flow_data(json.dumps(tilted_torus(3)))],
+    ids=["torus", "chain-4-2", "tilted-torus-3"],
+)
+@pytest.mark.parametrize("target", ["g", "f"])
+def test_each_label_index_is_computed_once(monkeypatch, doc, target):
+    fd = doc()
+    want = check_functor_laws(fd, target)
+    real, calls, depth = functors.ind, Counter(), [0]  # top-level ind calls, by label
+
+    def counting(label, env):
+        if not depth[0]:
+            calls[label] += 1
+        depth[0] += 1
+        try:
+            return real(label, env)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(functors, "ind", counting)
+    report = check_functor_laws(fd, target)
+    monkeypatch.undo()
+    assert report.passed and report.to_dict() == want.to_dict()
+    assert set(calls.values()) == {1}  # the run's index table: one ind per distinct label
+    cat = XCategory(fd, include_composites=True)
+    cells = [c for l in range(fd.max_level + 1) for c in cat.cells(l)]
+    assert {lab for c in cells for lab in (c.head, *sum(c.spine, ()))} <= set(calls)
 
 
 def shifted_g(cell, env):

@@ -8,13 +8,27 @@ import pytest
 from ncat import wcat
 from ncat.axioms import check_axioms, check_globularity, composable
 from ncat.errors import InvalidArguments, NoSource
+from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
 from ncat.torus import torus_flow_data
 from ncat.vcat import VCategory, VCell, v_compose, v_identity, v_render, v_source, v_target
-from ncat.wcat import WCategory, w_compose, w_composable, w_identity, w_make, w_render, w_source, w_target
+from ncat.wcat import (
+    WCategory,
+    WCell,
+    w_compose,
+    w_composable,
+    w_identity,
+    w_make,
+    w_render,
+    w_source,
+    w_target,
+)
 from ncat.xcat import (
     Atom,
     XCategory,
     XCell,
+    glue,
+    normalize,
+    point_like,
     x_cells,
     x_composable,
     x_composable_pairs,
@@ -32,6 +46,9 @@ X1 = x_cells(FD, 1)[0]
 X2 = x_cells(FD, 2)[0]
 CLOSED = XCategory(FD, include_composites=True)
 XA, XC = CLOSED.pairs(1, 0)[0]  # a pair the closure glued: compose reads it from the table
+XM = XCell(Atom("w"), (5,))  # hand-built, with a spine entry that is no pair
+XM_TEXT = "XCell(head=Atom(id='w'), spine=(5,))"
+ENV = ind_env(FD)
 
 
 @pytest.mark.parametrize(
@@ -123,12 +140,51 @@ def test_depth_check_keeps_its_messages(call):
         (lambda: x_compose(None, 0, X1, X1), "expected a FlowData, got None"),
         (lambda: x_cells(None, 0), "expected a FlowData, got None"),
         (lambda: x_composable_pairs(None, 1, 0), "expected a FlowData, got None"),
+        # malformed hand-built cells: these used to raise a bare TypeError (IndexError for the empty spine)
+        (lambda: w_source(WCell(0, (5,))), "malformed WCell spine (5,)"),
+        (lambda: w_source(WCell(0, ())), "malformed WCell spine ()"),
+        (lambda: w_render(WCell(0, (5,))), "malformed WCell spine (5,)"),
+        (lambda: w_identity(WCell(0, None)), "malformed WCell spine None"),
+        (
+            lambda: w_compose(1, WCell(0, (5, (1, 0))), WCell(0, ((0, 0), (1, 0)))),
+            "malformed WCell spine (5, (1, 0))",
+        ),
+        (
+            lambda: w_composable(1, WCell(0, ((0, 0), (1, 0))), WCell(0, (5, (1, 0)))),
+            "malformed WCell spine (5, (1, 0))",
+        ),
+        (lambda: x_source(XCell(Atom("w"), 5)), "malformed XCell: XCell(head=Atom(id='w'), spine=5)"),
+        (lambda: x_identity(XCell(Atom("w"), 5)), "malformed XCell: XCell(head=Atom(id='w'), spine=5)"),
+        (lambda: x_render(XM), f"malformed XCell: {XM_TEXT}"),
+        (lambda: x_composable(0, XM, XM), f"malformed XCell: {XM_TEXT} or {XM_TEXT}"),
+        (lambda: XCategory(FD).compose(0, XM, XM), f"malformed XCell: {XM_TEXT} or {XM_TEXT}"),
+        (lambda: XCategory(FD).normalize(XM), f"malformed XCell: {XM_TEXT}"),
+        (lambda: functor_g(XM, ENV), f"malformed XCell: {XM_TEXT}"),
+        # non-cells, non-labels and non-documents: these used to raise AttributeError,
+        # and glue returned Seq(parts=(5, 6))
+        (lambda: ind(5, ENV), "expected a label, got 5"),
+        (lambda: ind_env("x"), "expected a FlowData, got 'x'"),
+        (lambda: functor_g(5, ENV), "expected an XCell, got 5"),
+        (lambda: functor_f("x", ENV), "expected an XCell, got 'x'"),
+        (lambda: functor_g(XA, None), "expected an index environment (a dict), got None"),
+        (lambda: check_functor_laws("x"), "expected a FlowData, got 'x'"),
+        (lambda: normalize(5), "expected a label, got 5"),
+        (lambda: point_like(5, FD), "expected a label, got 5"),
+        (lambda: glue(5, 6), "expected a label, got 5"),
+        (lambda: glue(Atom("w"), 6), "expected a label, got 6"),
     ],
     ids=["identity-of-bool", "identity-of-str", "source-of-str", "target-of-tuple", "render-of-float", "compose-with-str",
          "v-source-of-str", "v-identity-of-int", "v-render-of-none", "x-source-of-str", "x-identity-of-int",
          "x-render-of-none", "x-compose-with-str", "x-compose-with-list", "x-normalize-of-str",
          "composable-w-of-str", "composable-v-of-str", "composable-x-of-str", "x-category-of-none",
-         "x-category-of-str", "x-compose-over-none", "x-cells-over-none", "x-pairs-over-none"],
+         "x-category-of-str", "x-compose-over-none", "x-cells-over-none", "x-pairs-over-none",
+         "w-source-of-int-spine-entry", "w-source-of-empty-spine", "w-render-of-int-spine-entry",
+         "w-identity-of-none-spine", "w-compose-of-int-spine-entry", "w-composable-of-int-spine-entry",
+         "x-source-of-int-spine", "x-identity-of-int-spine", "x-render-of-int-spine-entry",
+         "x-composable-of-int-spine-entry", "x-compose-of-int-spine-entry", "x-normalize-of-int-spine-entry",
+         "functor-g-of-int-spine-entry", "ind-of-int", "ind-env-of-str", "functor-g-of-int",
+         "functor-f-of-str", "functor-g-over-none", "functor-laws-of-str", "normalize-of-int", "point-like-of-int",
+         "glue-of-ints", "glue-of-atom-and-int"],
 )
 def test_w_argument_errors_keep_their_text(call, message):
     with pytest.raises(InvalidArguments) as e:

@@ -599,10 +599,24 @@ def test_each_cell_is_normalized_once(monkeypatch):
     monkeypatch.undo()
     distinct = set(cat.handed)
     assert len(cat.handed) == len(distinct)
+    # the instance's normal-form table: one normalize per distinct label
     labels = lambda c: [c.head] + [lab for pair in c.spine for lab in pair]
-    assert calls == Counter(lab for c in distinct for lab in labels(c))
+    assert calls == Counter({lab for c in distinct for lab in labels(c)})
     ref = ReferenceX(FD, include_composites=True)
     assert report.to_dict() == check_globularity(ref).merged(check_axioms(ref)).to_dict()
+
+
+@given(st.lists(cell_trees(TREE_IDS), min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_prop_category_normalize_matches_reference(cells):
+    # one instance for every cell, and each cell twice: the second pass
+    # reads every label's normal form from the instance's table
+    cat = XCategory(FD)
+    n = lambda lab: reference_normalize(lab, FD)
+    for _ in range(2):
+        for cell in cells:
+            want = XCell(n(cell.head), tuple((n(s), n(t)) for s, t in cell.spine))
+            assert cat.normalize(cell) == want
 
 
 # ------------------------------------------- composites computed once
