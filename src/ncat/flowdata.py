@@ -10,14 +10,17 @@ synthesizes them.
 Parsing is strict (unknown fields, missing fields, wrong types, dangling
 or duplicate ids all raise); semantic health is a separate, reporting
 step in validate_flow_data so one bad dimension does not hide another.
+A valid document pays for no error text: each object is cleared in one
+pass, and a path or message is built only once a check fails.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import DuplicateId, SchemaError, UnknownId
+from .errors import DuplicateId, InvalidArguments, SchemaError, UnknownId
 
 __all__ = [
     "CritPoint",
@@ -88,11 +91,23 @@ class FlowData:
 
 
 _KINDS = {int: "an integer", str: "a string", list: "an array"}
-_BASE_POINT = {"id": str, "index": int}
-_CRIT_POINT = {"id": str, "index": int, "component": str}
-_SPACE = {"level": int, "source": str, "target": str, "dim": int,
-          "components": list, "boundary": list, "critical_points": list}
-_FACTOR = {"source": str, "target": str}
+_new = tuple.__new__  # builds a point, space or check past the NamedTuple's Python-level __new__
+
+
+def _schema(optional=(), **fields):
+    """Fields (name -> type); for _object's one pass, getters of the values
+    and of the strings (one string: itself), the types, and the optional
+    fields, which read as [] when absent."""
+    texts = [n for n, kind in enumerate(fields.values()) if kind is str]
+    return fields, itemgetter(*fields), itemgetter(*texts), list(fields.values()), dict.fromkeys(optional, [])
+
+
+_DOCUMENT = _schema(name=str, max_level=int, base_points=list, moduli=list)
+_BASE_POINT = _schema(id=str, index=int)
+_CRIT_POINT = _schema(id=str, index=int, component=str)
+_SPACE = _schema(("boundary",), level=int, source=str, target=str, dim=int,
+                 components=list, boundary=list, critical_points=list)
+_FACTOR = _schema(source=str, target=str)
 
 
 def _text(value, path):
@@ -106,11 +121,26 @@ def _text(value, path):
         ) from None
 
 
-def _object(value, path, fields, optional=()):
-    """The values of ``fields`` (name -> type) in order, once ``value`` is
-    an object with no unknown field, no missing required field and every
+def _object(value, schema, path, at=()):
+    """The values of the schema's fields in order, once ``value`` is an
+    object with no unknown field, no missing required field and every
     field of its declared type (a bool is not an integer; a string holds
-    no lone surrogate).  An absent optional field reads as []."""
+    no lone surrogate); an absent optional field reads as [].  One pass
+    clears an object with known keys, exact types and ASCII strings (an
+    ASCII string holds no surrogate); any other object takes the ordered
+    checks, which raise the first error and alone build the path."""
+    fields, get, texts, kinds, optional = schema
+    if value.__class__ is dict:
+        whole = {**optional, **value} if optional else value
+        try:
+            values = get(whole)
+        except KeyError:  # a missing field
+            pass
+        else:
+            if (len(whole) == len(values) and [*map(type, values)] == kinds
+                    and "".join(texts(values)).isascii()):
+                return values
+    path = path.format(*at)
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {value!r}")
     for key in value:
@@ -126,21 +156,21 @@ def _object(value, path, fields, optional=()):
             raise SchemaError(f"{path}.{key}", f"expected {_KINDS[kind]}, got {v!r}")
         if kind is str:
             _text(v, f"{path}.{key}")
-    return values
+    return tuple(values)
 
 
-def _add_point(points, path, entry, level=0, home=None):
+def _add_point(points, entry, level, home, path, at):
     """Parse and register a base point (no home) or a critical point: its
     index must be non-negative and its id new.  Returns the id."""
     if home is None:
-        (ident, index), component = _object(entry, path, _BASE_POINT), None
+        (ident, index), component = _object(entry, _BASE_POINT, path, at), None
     else:
-        ident, index, component = _object(entry, path, _CRIT_POINT)
+        ident, index, component = _object(entry, _CRIT_POINT, path, at)
     if index < 0:
-        raise SchemaError(f"{path}.index", "must be non-negative")
+        raise SchemaError(f"{path.format(*at)}.index", "must be non-negative")
     if ident in points:
-        raise DuplicateId(path, ident)
-    points[ident] = CritPoint(ident, index, level, home, component)
+        raise DuplicateId(path.format(*at), ident)
+    points[ident] = _new(CritPoint, (ident, index, level, home, component))
     return ident
 
 
@@ -151,58 +181,55 @@ def parse_flow_data(text: str) -> FlowData:
     except (ValueError, RecursionError, TypeError) as e:  # also too deep, an over-long integer, or no text
         raise SchemaError("$", f"invalid JSON: {e}") from None
 
-    name, max_level, base_points, moduli = _object(
-        doc, "$", {"name": str, "max_level": int, "base_points": list, "moduli": list}
-    )
+    name, max_level, base_points, moduli = _object(doc, _DOCUMENT, "$")
     if max_level < 0:
         raise SchemaError("$.max_level", "must be non-negative")
 
     points: dict[str, CritPoint] = {}
     for n, entry in enumerate(base_points):
-        _add_point(points, f"$.base_points[{n}]", entry)
+        _add_point(points, entry, 0, None, "$.base_points[{}]", (n,))
 
     spaces: dict[tuple[str, str], ModuliSpace] = {}
     for n, entry in enumerate(moduli):
-        path = f"$.moduli[{n}]"
-        level, source, target, dim, raw_components, raw_boundary, raw_points = _object(
-            entry, path, _SPACE, optional=("boundary",)
-        )
+        level, source, target, dim, components, raw_boundary, raw_points = _object(
+            entry, _SPACE, "$.moduli[{}]", (n,))
         if not 1 <= level <= max_level:
-            raise SchemaError(f"{path}.level", f"must be between 1 and max_level={max_level}")
-        components = []
-        for m, comp in enumerate(raw_components):
-            if not isinstance(comp, str):
-                raise SchemaError(f"{path}.components[{m}]", "expected a string")
-            _text(comp, f"{path}.components[{m}]")
-            if comp in components:
-                raise DuplicateId(f"{path}.components[{m}]", comp)
-            components.append(comp)
-        if not components:
-            raise SchemaError(f"{path}.components", "must be non-empty")
+            raise SchemaError(f"$.moduli[{n}].level", f"must be between 1 and max_level={max_level}")
+        components = tuple(components)
+        if not (set(map(type, components)) == {str} and "".join(components).isascii()
+                and len(set(components)) == len(components)):
+            for m, comp in enumerate(components):
+                path = f"$.moduli[{n}].components[{m}]"
+                if not isinstance(comp, str):
+                    raise SchemaError(path, "expected a string")
+                _text(comp, path)
+                if comp in components[:m]:
+                    raise DuplicateId(path, comp)
+            if not components:
+                raise SchemaError(f"$.moduli[{n}].components", "must be non-empty")
 
         boundary = []
         for m, chain in enumerate(raw_boundary):
-            cpath = f"{path}.boundary[{m}]"
             if not isinstance(chain, list) or not chain:
-                raise SchemaError(cpath, "expected a non-empty array of factors")
-            boundary.append(tuple(
-                tuple(_object(factor, f"{cpath}[{k}]", _FACTOR))
+                raise SchemaError(f"$.moduli[{n}].boundary[{m}]", "expected a non-empty array of factors")
+            boundary.append(tuple([
+                _object(factor, _FACTOR, "$.moduli[{}].boundary[{}][{}]", (n, m, k))
                 for k, factor in enumerate(chain)
-            ))
+            ]))
 
         key = (source, target)
         if key in spaces:
-            raise DuplicateId(path, f"{source}->{target}")
-        ids = tuple(
-            _add_point(points, f"{path}.critical_points[{m}]", raw, level, key)
+            raise DuplicateId(f"$.moduli[{n}]", f"{source}->{target}")
+        ids = tuple([
+            _add_point(points, raw, level, key, "$.moduli[{}].critical_points[{}]", (n, m))
             for m, raw in enumerate(raw_points)
-        )
-        spaces[key] = ModuliSpace(
-            source, target, level, dim, tuple(components), tuple(boundary), ids
-        )
+        ])
+        spaces[key] = _new(ModuliSpace, (source, target, level, dim, components, tuple(boundary), ids))
 
-    # reference resolution last: an endpoint may name a point a later space declares
-    for n, sp in enumerate(spaces.values()):
+    # reference resolution last: an endpoint may name a point a later space
+    # declares; the ordered walk, with its paths, runs only if an id is unknown
+    ends = set().union(*spaces, *[f for sp in spaces.values() for chain in sp.boundary for f in chain])
+    for n, sp in enumerate(() if ends <= points.keys() else spaces.values()):
         path = f"$.moduli[{n}]"
         for role, ident in (("source", sp.source), ("target", sp.target)):
             if ident not in points:
@@ -242,83 +269,91 @@ class ValidationReport(NamedTuple):
 def validate_flow_data(fd: FlowData) -> ValidationReport:
     """Semantic health checks; returns a report instead of raising so a
     document's problems are all visible at once."""
+    if not isinstance(fd, FlowData):
+        raise InvalidArguments(f"expected a FlowData, got {fd!r}")
+    points, spaces = fd.points, fd.spaces
     checks = []
     out = checks.append
 
-    for sp in fd.spaces.values():
-        subject = f"({sp.source},{sp.target})"
-        src, tgt = fd.point(sp.source), fd.point(sp.target)
+    for sp in spaces.values():
+        source, target, level, dim, _, boundary, _ = sp
+        subject = f"({source},{target})"
+        try:
+            src, tgt = points[source], points[target]
+        except (KeyError, TypeError):  # a hand-built FlowData's dangling endpoint
+            src, tgt = fd.point(source), fd.point(target)
 
-        ok = src.level == tgt.level == sp.level - 1 and sp.source != sp.target
-        if ok and sp.level >= 2:
+        ok = src.level == tgt.level == level - 1 and source != target
+        if ok and level >= 2:
             ok = src.home == tgt.home
-        out(ValidationCheck(
+        out(_new(ValidationCheck, (
             "endpoints", subject, ok,
-            "" if ok else
-            f"endpoints must be distinct level-{sp.level - 1} points with one home",
-        ))
+            "" if ok else f"endpoints must be distinct level-{level - 1} points with one home",
+        )))
 
         want = src.index - tgt.index - 1
-        ok = sp.dim == want and sp.dim >= 0
-        out(ValidationCheck(
+        ok = dim == want and dim >= 0
+        out(_new(ValidationCheck, (
             "dim-formula", subject, ok,
-            "" if ok else f"dim={sp.dim} but Ind({sp.source})-Ind({sp.target})-1={want}",
-        ))
+            "" if ok else f"dim={dim} but Ind({source})-Ind({target})-1={want}",
+        )))
 
-        for m, chain in enumerate(sp.boundary):
+        for m, chain in enumerate(boundary):
             where = f"{subject} stratum {m}"
             seq = [chain[0][0]] + [t for _, t in chain]
             linked = all(chain[k][1] == chain[k + 1][0] for k in range(len(chain) - 1))
-            ends = chain[0][0] == sp.source and chain[-1][1] == sp.target
-            idx = [fd.point(x).index for x in seq if x in fd.points]
+            ends = chain[0][0] == source and chain[-1][1] == target
+            idx = [points[x].index for x in seq if x in points]
             mono = len(idx) == len(seq) and all(a > b for a, b in zip(idx, idx[1:]))
             ok = linked and ends and mono
-            out(ValidationCheck(
+            out(_new(ValidationCheck, (
                 "boundary-monotonicity", where, ok,
                 "" if ok else f"chain {'-'.join(seq)} must link the endpoints with strictly dropping index",
-            ))
+            )))
 
-            missing = [f"({s},{t})" for s, t in chain if (s, t) not in fd.spaces]
+            missing = [f"({s},{t})" for s, t in chain if (s, t) not in spaces]
             if missing:
-                out(ValidationCheck(
+                out(_new(ValidationCheck, (
                     "boundary-dim-sum", where, False,
                     f"undeclared factor space(s) {', '.join(missing)}",
-                ))
+                )))
             else:
                 depth = len(chain) - 1
-                total = sum(fd.spaces[f].dim for f in chain)
-                ok = total == sp.dim - depth
-                out(ValidationCheck(
+                total = sum(spaces[f].dim for f in chain)
+                ok = total == dim - depth
+                out(_new(ValidationCheck, (
                     "boundary-dim-sum", where, ok,
-                    "" if ok else f"factor dims sum to {total}, want dim-depth={sp.dim - depth}",
-                ))
+                    "" if ok else f"factor dims sum to {total}, want dim-depth={dim - depth}",
+                )))
 
-    for pt in fd.points.values():
-        if pt.home is None:
+    for ident, index, _, home, component in points.values():
+        if home is None:
             continue
-        home = fd.spaces[pt.home]
-        ok = pt.component in home.components
-        out(ValidationCheck(
-            "component-refs", pt.id, ok,
-            "" if ok else f"component {pt.component!r} not declared on ({home.source},{home.target})",
-        ))
-        ok = 0 <= pt.index <= home.dim
-        out(ValidationCheck(
-            "index-bound", pt.id, ok,
-            "" if ok else f"index {pt.index} exceeds home dimension {home.dim}",
-        ))
+        try:
+            sp = spaces[home]
+        except (KeyError, TypeError):  # a hand-built FlowData's undeclared home
+            sp = fd.space(home)
+        ok = component in sp.components
+        out(_new(ValidationCheck, (
+            "component-refs", ident, ok,
+            "" if ok else f"component {component!r} not declared on ({sp.source},{sp.target})",
+        )))
+        ok = 0 <= index <= sp.dim
+        out(_new(ValidationCheck, (
+            "index-bound", ident, ok, "" if ok else f"index {index} exceeds home dimension {sp.dim}",
+        )))
 
     return ValidationReport(tuple(checks))
 
 
 def emit_flow_data(fd: FlowData) -> dict:
     """The document back as a plain dict, field order canonical."""
+    if not isinstance(fd, FlowData):
+        raise InvalidArguments(f"expected a FlowData, got {fd!r}")
     return {
         "name": fd.name,
         "max_level": fd.max_level,
-        "base_points": [
-            {"id": pt.id, "index": pt.index} for pt in fd.base_points()
-        ],
+        "base_points": [{"id": pt.id, "index": pt.index} for pt in fd.base_points()],
         "moduli": [
             {
                 "level": sp.level,
@@ -326,20 +361,10 @@ def emit_flow_data(fd: FlowData) -> dict:
                 "target": sp.target,
                 "dim": sp.dim,
                 "components": list(sp.components),
-                **(
-                    {"boundary": [
-                        [{"source": s, "target": t} for s, t in chain]
-                        for chain in sp.boundary
-                    ]}
-                    if sp.boundary
-                    else {}
-                ),
+                **({"boundary": [[{"source": s, "target": t} for s, t in chain] for chain in sp.boundary]}
+                   if sp.boundary else {}),
                 "critical_points": [
-                    {
-                        "id": pid,
-                        "index": fd.point(pid).index,
-                        "component": fd.point(pid).component,
-                    }
+                    {"id": pid, "index": fd.point(pid).index, "component": fd.point(pid).component}
                     for pid in sp.points
                 ],
             }

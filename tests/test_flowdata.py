@@ -1,12 +1,24 @@
 """Parsing is strict, validation is a report; both failure modes covered."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
-from ncat.errors import DuplicateId, NCatError, SchemaError, UnknownId
-from ncat.flowdata import emit_flow_data, parse_flow_data, validate_flow_data
+import ncat.flowdata as flowdata
+from ncat.errors import DuplicateId, InvalidArguments, NCatError, SchemaError, UnknownId
+from ncat.families import tilted_torus
+from ncat.flowdata import (
+    CritPoint,
+    FlowData,
+    emit_flow_data,
+    parse_flow_data,
+    validate_flow_data,
+)
 from ncat.torus import torus_document, torus_flow_data
+
+from oracles import chain_document
 
 
 def doc(**overrides):
@@ -478,3 +490,233 @@ def test_lone_surrogates_are_schema_errors(path, value, where):
 def test_surrogate_pairs_still_parse():
     fd = parse_flow_data(json.dumps(doc(name="pair \U0001d53b")))
     assert fd.name == "pair \U0001d53b"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: validate_flow_data("junk"), lambda: emit_flow_data(None)],
+    ids=["validate-str", "emit-none"],
+)
+def test_a_non_flow_data_is_invalid_arguments(call):
+    with pytest.raises(InvalidArguments, match="^expected a FlowData, got "):
+        call()
+
+
+def test_an_undeclared_home_is_an_unknown_id():
+    # a hand-built FlowData whose point lives on a space it never declares
+    points = {"a": CritPoint("a", 1, 0, None, None), "b": CritPoint("b", 0, 0, None, None),
+              "p": CritPoint("p", 0, 1, ("a", "b"), "c")}
+    with pytest.raises(UnknownId) as e:
+        validate_flow_data(FlowData("h", 1, points, {}))
+    assert (e.value.path, e.value.ident) == ("$", "a->b")
+
+
+def renamed_chain(seed):
+    """chain_document(3, 2) under a seeded renaming of its ids and
+    components, with its base points, spaces and critical points shuffled."""
+    rng = random.Random(seed)
+    d = chain_document(3, 2)
+    names = {bp["id"] for bp in d["base_points"]}
+    for sp in d["moduli"]:
+        names.update(sp["components"], (cp["id"] for cp in sp["critical_points"]))
+    text = json.dumps(d)
+    for old, i in zip(sorted(names), rng.sample(range(100), len(names))):
+        text = text.replace(f'"{old}"', f'"n{i}"')  # no old name starts with n
+    d = json.loads(text)
+    for entries in [d["base_points"], d["moduli"]] + [sp["critical_points"] for sp in d["moduli"]]:
+        rng.shuffle(entries)
+    return d
+
+
+def late_targets():
+    """(name, document, path in the document, its JSON path, string field,
+    integer field, another entry's id) for the last base point, the last
+    space, that space's last critical point, and the last factor of the
+    last boundary stratum of tilted_torus(3)."""
+    d = renamed_chain(7)
+    n, m = len(d["moduli"]) - 1, len(d["moduli"][-1]["critical_points"]) - 1
+    first = d["base_points"][0]["id"]
+    yield ("base-point", d, ("base_points", len(d["base_points"]) - 1),
+           f"$.base_points[{len(d['base_points']) - 1}]", "id", "index", first)
+    yield ("space", d, ("moduli", n), f"$.moduli[{n}]", "source", "dim", None)
+    yield ("critical-point", d, ("moduli", n, "critical_points", m),
+           f"$.moduli[{n}].critical_points[{m}]", "id", "index", first)
+    t = tilted_torus(3)
+    n = max(i for i, sp in enumerate(t["moduli"]) if sp.get("boundary"))
+    m = len(t["moduli"][n]["boundary"]) - 1
+    k = len(t["moduli"][n]["boundary"][m]) - 1
+    yield ("factor", t, ("moduli", n, "boundary", m, k), f"$.moduli[{n}].boundary[{m}][{k}]",
+           "source", None, None)
+
+
+def late_errors():
+    """One row per error kind and late entry: the edits (field -> value,
+    DROP to delete), the exception class, its path and its message."""
+    for name, d, where, path, text, number, taken in late_targets():
+        rows = [
+            ("unknown-field", {"extra": 1}, SchemaError, f"{path}.extra", "unknown field"),
+            ("missing-field", {text: DROP}, SchemaError, path, f"missing field {text!r}"),
+            ("wrong-type", {text: 5}, SchemaError, f"{path}.{text}", "expected a string, got 5"),
+            ("lone-surrogate", {text: "x\ud800"}, SchemaError, f"{path}.{text}",
+             "lone surrogate U+D800 at character 1"),
+        ]
+        if number:
+            rows.append(("bool-for-int", {number: True}, SchemaError, f"{path}.{number}",
+                         "expected an integer, got True"))
+        if number == "index":
+            rows.append(("negative-index", {number: -1}, SchemaError, f"{path}.index",
+                         "must be non-negative"))
+        if taken:
+            rows.append(("duplicate-id", {"id": taken}, DuplicateId, path, f"duplicate id {taken!r}"))
+        if name == "space":  # the first space's endpoints again
+            s, t = d["moduli"][0]["source"], d["moduli"][0]["target"]
+            rows.append(("duplicate-id", {"source": s, "target": t}, DuplicateId, path,
+                         f"duplicate id '{s}->{t}'"))
+        if name in ("space", "factor"):
+            rows.append(("unknown-id", {text: "ghost"}, UnknownId, f"{path}.{text}",
+                         "unknown id 'ghost'"))
+        for kind, edits, cls, at, reason in rows:
+            yield pytest.param(d, where, edits, cls, at, reason, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("d, where, edits, cls, at, reason", list(late_errors()))
+def test_late_entries_keep_their_report(d, where, edits, cls, at, reason):
+    # paths are built only once a check fails; they must still name the
+    # right n, m and k
+    d = json.loads(json.dumps(d))
+    node = d
+    for key in where:
+        node = node[key]
+    for field, value in edits.items():
+        if value is DROP:
+            del node[field]
+        else:
+            node[field] = value
+    with pytest.raises(NCatError) as e:
+        parse(d)
+    assert (type(e.value), e.value.path, str(e.value)) == (cls, at, f"{at}: {reason}")
+
+
+def canonical(d):
+    """d as emit_flow_data writes it: an empty boundary is left out."""
+    d = json.loads(json.dumps(d))
+    for sp in d["moduli"]:
+        if sp.get("boundary") == []:
+            del sp["boundary"]
+    return d
+
+
+def non_ascii(d):
+    """d with every point id, component name and its own name marked by a
+    non-ASCII prefix (two-byte, three-byte or astral in UTF-8), one mark
+    per name."""
+    marks = ("é", "点", "\U0001d53b")
+
+    def mark(x):
+        return marks[sum(map(ord, x)) % 3] + x
+
+    d = json.loads(json.dumps(d))
+    d["name"] = marks[2] + d["name"]
+    for bp in d["base_points"]:
+        bp["id"] = mark(bp["id"])
+    for sp in d["moduli"]:
+        sp["source"], sp["target"] = mark(sp["source"]), mark(sp["target"])
+        sp["components"] = [mark(c) for c in sp["components"]]
+        for chain in sp.get("boundary", []):
+            for f in chain:
+                f["source"], f["target"] = mark(f["source"]), mark(f["target"])
+        for cp in sp["critical_points"]:
+            cp["id"], cp["component"] = mark(cp["id"]), mark(cp["component"])
+    return d
+
+
+@pytest.mark.parametrize(
+    "make, marked",
+    [(lambda: chain_document(3, 2), False), (lambda: tilted_torus(3), False),
+     (lambda: non_ascii(chain_document(3, 2)), True), (lambda: non_ascii(tilted_torus(3)), True)],
+    ids=["chain-3-2", "tilted-torus-3", "chain-3-2-non-ascii", "tilted-torus-3-non-ascii"],
+)
+def test_only_non_ascii_strings_take_the_full_check(monkeypatch, make, marked):
+    # an ASCII document clears every object in one pass; a non-ASCII one
+    # takes the ordered checks, encodes its strings and still parses
+    encoded = []
+    real_text = flowdata._text
+    monkeypatch.setattr(flowdata, "_text", lambda v, path: encoded.append(v) or real_text(v, path))
+    d = make()
+    fd = parse(d)
+    assert bool(encoded) == marked
+    assert all(not s.isascii() for s in encoded)
+    assert list(fd.points) == [bp["id"] for bp in d["base_points"]] + [
+        cp["id"] for sp in d["moduli"] for cp in sp["critical_points"]]
+    assert validate_flow_data(fd).passed
+    assert emit_flow_data(fd) == canonical(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: non_ascii(chain_document(3, 2)), lambda: non_ascii(tilted_torus(3)),
+     lambda: tilted_torus(2), lambda: tilted_torus(3), lambda: tilted_torus(4)],
+    ids=["chain-3-2-non-ascii", "tilted-torus-3-non-ascii", "tilted-torus-2", "tilted-torus-3",
+         "tilted-torus-4"],
+)
+def test_emit_round_trips_generated_documents(make):
+    d = make()
+    emitted = emit_flow_data(parse(d))
+    assert json.dumps(emitted) == json.dumps(canonical(d))  # field order too
+    assert emit_flow_data(parse_flow_data(json.dumps(emitted, ensure_ascii=False))) == emitted
+
+
+def _edited(d, edit):
+    edit(d)
+    return d
+
+
+def _torus_target(target):
+    d = torus_document()
+    next(sp for sp in d["moduli"] if sp["source"] == "wz_max_dd")["target"] = target
+    return d
+
+
+# Documents whose validation report is pinned, valid ones and the failing
+# fixtures above, by a maker of each
+REPORT_DOCUMENTS = {
+    "torus": torus_document,
+    "tilted-torus-2": lambda: tilted_torus(2),
+    "tilted-torus-3": lambda: tilted_torus(3),
+    "tilted-torus-4": lambda: tilted_torus(4),
+    "chain-300-8": lambda: chain_document(300, 8),
+    "dim-formula": lambda: mutant(("moduli", 0, "dim"), 3),
+    "component-refs": lambda: mutant(("moduli", 0, "critical_points", 0, "component"), "nope"),
+    "index-bound": lambda: mutant(("moduli", 0, "critical_points", 0, "index"), 5),
+    "endpoints-other-home": lambda: _torus_target("xz_d"),
+    "endpoints-same-point": lambda: _torus_target("wz_max_dd"),
+    "boundary-monotonicity": lambda: _edited(
+        three_step(), lambda d: d["moduli"][2].update(boundary=[[{"source": "m", "target": "b"}]])),
+    "boundary-dim-sum": lambda: _edited(three_step(), lambda d: d["moduli"][2].update(dim=0)),
+    "boundary-undeclared-factor": lambda: _edited(three_step(), lambda d: d["moduli"].pop(0)),
+}
+
+# sha256 of json.dumps(validate_flow_data(fd).to_dict(), sort_keys=True),
+# as validation gave them before parsing and validating took one pass
+VALIDATION_DIGESTS = {
+    "boundary-dim-sum": "a6dce33cf0429679b2e2b30a474809abb119e33d996e642f87a66d5f16e459c8",
+    "boundary-monotonicity": "73a0ca7874c28ac57820a3e3561385300b0880c59fd44083ff1cac84f96c7918",
+    "boundary-undeclared-factor": "766d01f032443e37cf6e8dd0bdc9b0c66ee2791af9a6b222fac430bed8e6284b",
+    "chain-300-8": "dbf6a2914263f04dd85d9e255fc2e3c9b2c98ce79696c0f0c141b217886a90e8",
+    "component-refs": "8a3cbe1c9dddc606844ce4972a34de9f970ad20617c7fbd936bad63375f52305",
+    "dim-formula": "4b032b0b14f0fbc666e03c28f155ce85de976b88b35b87bb1d33f28697939b7c",
+    "endpoints-other-home": "f76ce40088accda17c2112d1b5c1c05755e68b4106c7441466d917bc91d941fa",
+    "endpoints-same-point": "e92f683f9a49608125bbc7ff10beac6d245dd01bfc9a3a15ad76d6bb6c0e034d",
+    "index-bound": "b5a52bba5391916b1e69acbe5cacf6a06edf63d4816b7283380c8d590190b73b",
+    "tilted-torus-2": "4dffedf67d629663bb24ab3be87ca1c22b99674b5aff7019449cdd3c6d9682a8",
+    "tilted-torus-3": "8ec8d03cee8499d52e2431e0626a97af486060419fe30a8a1fa8ea210d2d107a",
+    "tilted-torus-4": "73c4809e85539439cc870a601532bc65d1ec4be664185aa3e73067f4d565abff",
+    "torus": "c0bc4745b81d7716901426927fa5b55062a3c4b5f6131e3b5f245e87df25d46a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DOCUMENTS))
+def test_validation_reports_are_byte_identical(name):
+    report = validate_flow_data(parse(REPORT_DOCUMENTS[name]()))
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATION_DIGESTS[name]
