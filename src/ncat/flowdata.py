@@ -10,8 +10,8 @@ synthesizes them.
 Parsing is strict (unknown fields, missing fields, wrong types, dangling
 or duplicate ids all raise); semantic health is a separate, reporting
 step in validate_flow_data so one bad dimension does not hide another.
-A valid document pays for no error text: each object is cleared in one
-pass, and a path or message is built only once a check fails.
+A valid document with ASCII strings pays for no error text: each object
+is cleared in one pass, and paths are built only once a check fails.
 """
 
 from __future__ import annotations
