@@ -31,11 +31,11 @@ ENUM_BOUND = 3  # entry bound behind `axioms --category w|v`
 
 
 def _emit(payload: dict, args, text_lines) -> None:
+    """Write the report with one write, so unbuffered output costs no write per line."""
     if args.fmt == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
+        sys.stdout.write(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n")
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("\n".join([*text_lines, ""]))
 
 
 def _read(path: str) -> str:

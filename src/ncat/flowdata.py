@@ -81,7 +81,10 @@ class FlowData:
 
     def home_of(self, ident: str) -> "ModuliSpace | None":
         home = self.point(ident).home
-        return None if home is None else self.spaces[home]
+        try:
+            return None if home is None else self.spaces[home]
+        except KeyError:  # a hand-built document naming an undeclared home
+            return self.space(home)  # raises UnknownId naming source->target
 
     def spaces_at_level(self, level: int) -> list:
         return [sp for sp in self.spaces.values() if sp.level == level]

@@ -90,10 +90,10 @@ def _f(cell: XCell, index) -> VCell:
     """functor_f, each label's index given by index(label)."""
     head, spine = cell
     if not spine:
-        return VCell(index(head))
+        return tuple.__new__(VCell, (index(head),))
     dims = [(index(s), index(t)) for s, t in spine]
     try:
-        return VCell(w_make(index(head), dims))
+        return tuple.__new__(VCell, (w_make(index(head), dims),))
     except ConstraintViolation as e:
         raise FlowDataInconsistent(f"F({x_render(cell)}) is not a valid cell: {e}") from e
 

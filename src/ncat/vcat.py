@@ -3,7 +3,9 @@
 A V cell is a tower of vector spaces and hom spaces remembered only by
 dimension, so its data is exactly a W cell; VCell is a semantic wrapper
 that keeps the two apart in signatures and rendering.  Equality is
-equality of the underlying dimension data.  All operations delegate.
+equality of the underlying dimension data.  All operations delegate, one
+frame over the W call: a VCell's data is read as v[0], and the result is
+built with tuple.__new__.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ __all__ = [
 ]
 
 
+_new = tuple.__new__  # builds a VCell without the NamedTuple's Python-level __new__
+
+
 class VCell(NamedTuple):
     """dims is a WCell, or a bare int for level-0 cells."""
 
@@ -60,19 +65,21 @@ def v_to_w(v: VCell):
 
 
 def v_source(v: VCell) -> VCell:
-    return VCell(w_source(v_to_w(v)))
+    return _new(VCell, (w_source(v[0] if v.__class__ is VCell else v_to_w(v)),))
 
 
 def v_target(v: VCell) -> VCell:
-    return VCell(w_target(v_to_w(v)))
+    return _new(VCell, (w_target(v[0] if v.__class__ is VCell else v_to_w(v)),))
 
 
 def v_identity(v: VCell) -> VCell:
-    return VCell(w_identity(v_to_w(v)))
+    return _new(VCell, (w_identity(v[0] if v.__class__ is VCell else v_to_w(v)),))
 
 
 def v_compose(p: int, a: VCell, c: VCell) -> VCell:
-    return VCell(w_compose(p, v_to_w(a), v_to_w(c)))
+    if a.__class__ is VCell is c.__class__:
+        return _new(VCell, (w_compose(p, a[0], c[0]),))
+    return _new(VCell, (w_compose(p, v_to_w(a), v_to_w(c)),))
 
 
 def v_render(v: VCell) -> str:

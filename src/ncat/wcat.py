@@ -16,6 +16,9 @@ level k (the head for the top pair, i_{k+1} otherwise):
 Composition at depth p adds heads and all entries above p, splices the
 pair at p, and requires everything below p to agree literally.  All the
 category laws hold for W with literal equality of cells.
+
+A composite costs three frames: w_compose, its composability test and the
+one constraint check _checked; axioms._depth runs only to raise its error.
 """
 
 from __future__ import annotations
@@ -189,14 +192,19 @@ def w_composable(p: int, q, r) -> bool:
 
 
 def _check_composable(p: int, q: WCell, r: WCell) -> int:
-    """Raise unless ``r o_p q`` is defined; the spine position of depth p."""
+    """Raise unless ``r o_p q`` is defined; the spine position of depth p.
+    The depth is tested inline, and _depth runs only to raise its error."""
     if q.__class__ is not WCell or r.__class__ is not WCell:
         _require_cell(q), _require_cell(r)
     qs, rs = q[1], r[1]
-    top = _depth(p, len(qs), len(rs)) - 1 - p
+    n = len(qs)
+    if not (p.__class__ is int and n == len(rs) and 0 <= p < n):
+        _depth(p, n, len(rs))
+    top = n - 1 - p
     if qs[top][1] != rs[top][0]:
         raise NotComposable(p, f"j_p of inner is {qs[top][1]}, i_p of outer is {rs[top][0]}")
-    if qs[top + 1 :] != rs[top + 1 :]:
+    below = qs[top + 1 :]
+    if below != rs[top + 1 :] and tuple(below) != tuple(rs[top + 1 :]):  # a list spine may meet a tuple one
         raise NotComposable(p, "spines below p differ")
     return top
 
@@ -213,7 +221,10 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
         top = _check_composable(p, q, r)
         qs, rs = q[1], r[1]
         head = q[0] + r[0]
-        spine = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(qs[:top], rs[:top])]
+        spine = []
+        for k in range(top):  # a loop, not a comprehension: no frame of its own
+            x, y = qs[k], rs[k]
+            spine.append((x[0] + y[0], x[1] + y[1]))
         spine.append((qs[top][0], rs[top][1]))
         spine.extend(qs[top + 1 :])
     except TypeError:  # a hand-built operand: an entry that does not add, or a spine of non-pairs

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: output shape, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -371,3 +372,40 @@ def test_output_does_not_depend_on_the_hash_seed(seed_documents, args, doc):
     ]
     assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
     assert outs[0].stdout == outs[1].stdout
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain-300-8.json"
+    path.write_text(json.dumps(chain_document(300, 8)))
+    return str(path)
+
+
+def test_unbuffered_output_is_byte_identical(chain_file):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    outs = [
+        subprocess.run(CMD + ["validate", chain_file], capture_output=True, env=dict(env, **extra))
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"})
+    ]
+    assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
+    assert outs[0].stdout.count(b"\n") > 5000
+    assert outs[0].stdout == outs[1].stdout
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_report_is_one_write(chain_file, monkeypatch, fmt):
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["validate", chain_file, "--format", fmt]) == 0
+    assert out.writes == 1
+    assert out.getvalue().endswith("checks)\n" if fmt == "text" else "}\n")

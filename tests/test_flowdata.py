@@ -17,6 +17,7 @@ from ncat.flowdata import (
     validate_flow_data,
 )
 from ncat.torus import torus_document, torus_flow_data
+from ncat.xcat import Atom, point_like
 
 from oracles import chain_document
 
@@ -509,6 +510,20 @@ def test_an_undeclared_home_is_an_unknown_id():
     with pytest.raises(UnknownId) as e:
         validate_flow_data(FlowData("h", 1, points, {}))
     assert (e.value.path, e.value.ident) == ("$", "a->b")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda fd: fd.home_of("p"), lambda fd: point_like(Atom("p"), fd)],
+    ids=["home-of", "point-like"],
+)
+def test_lookups_of_an_undeclared_home_raise_unknown_id(call):
+    # these used to raise a bare KeyError: ('a', 'b')
+    points = {"a": CritPoint("a", 1, 0, None, None), "b": CritPoint("b", 0, 0, None, None),
+              "p": CritPoint("p", 0, 1, ("a", "b"), "c")}
+    with pytest.raises(UnknownId) as e:
+        call(FlowData("h", 1, points, {}))
+    assert (e.value.path, e.value.ident, str(e.value)) == ("$", "a->b", "$: unknown id 'a->b'")
 
 
 def renamed_chain(seed):

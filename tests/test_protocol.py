@@ -7,7 +7,7 @@ import pytest
 
 from ncat import wcat
 from ncat.axioms import check_axioms, check_globularity, composable
-from ncat.errors import InvalidArguments, NoSource
+from ncat.errors import InvalidArguments, NoSource, NotComposable
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
 from ncat.torus import torus_flow_data
 from ncat.vcat import VCategory, VCell, v_compose, v_identity, v_render, v_source, v_target
@@ -250,3 +250,92 @@ def test_w_and_v_enumerate_each_level_once_per_instance(cls, wrap, monkeypatch):
 def test_level_of_is_the_spine_length(cat, cells):
     assert [cat.level_of(x) for x in cells] == [0, 1, 2]
     assert [x.level for x in cells[1:]] == [1, 2]
+
+
+# the rows a change to the composite path could move, through every W and V entry
+# point that takes a depth: level-2 cells, so the depth and the splice have room
+Q2 = w_make(0, [(1, 0), (2, 0)])
+R2 = w_make(0, [(0, 0), (2, 0)])  # composable with Q2 at p=1
+S2 = w_make(0, [(0, 0), (2, 1)])  # meets Q2's top pair at p=1, not its lower spine
+COMPOSITE_CALLS = {
+    "w_compose": w_compose,
+    "v_compose": lambda p, a, c: v_compose(p, VCell(a), VCell(c)),
+    "w_composable": w_composable,
+    "composable-w": lambda p, a, c: composable(WCategory(), p, a, c),
+    "composable-v": lambda p, a, c: composable(VCategory(), p, VCell(a), VCell(c)),
+}
+
+
+@pytest.mark.parametrize(
+    "p, a, c, message",
+    [
+        (True, Q2, R2, "depth must be an integer, got True"),
+        (-1, Q2, R2, "depth p=-1 out of range for level 2"),
+        (2, Q2, R2, "depth p=2 out of range for level 2"),
+        (0, W1, R2, "levels differ: 1 vs 2"),
+        (True, W1, R2, "levels differ: 1 vs 2"),  # the levels are tested before the depth
+    ],
+    ids=["true", "minus-one", "level", "levels-differ", "true-and-levels-differ"],
+)
+@pytest.mark.parametrize("call", sorted(COMPOSITE_CALLS))
+def test_composite_entry_points_keep_their_argument_errors(call, p, a, c, message):
+    with pytest.raises(InvalidArguments) as e:
+        COMPOSITE_CALLS[call](p, a, c)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "p, a, c, message",
+    [
+        (1, Q2, Q2, "not composable at p=1: j_p of inner is 0, i_p of outer is 1"),
+        (1, Q2, S2, "not composable at p=1: spines below p differ"),
+    ],
+    ids=["top-pair", "below-p"],
+)
+@pytest.mark.parametrize("call", sorted(COMPOSITE_CALLS))
+def test_composite_entry_points_keep_their_not_composable_texts(call, p, a, c, message):
+    if call.endswith("compose"):
+        with pytest.raises(NotComposable) as e:
+            COMPOSITE_CALLS[call](p, a, c)
+        assert str(e.value) == message
+    else:
+        assert COMPOSITE_CALLS[call](p, a, c) is False
+
+
+def test_composites_are_exactly_w_and_v_cells():
+    assert w_compose(1, Q2, R2) == Q2 and type(w_compose(1, Q2, R2)) is WCell
+    assert v_compose(1, VCell(Q2), VCell(R2)) == VCell(Q2)
+    assert type(v_compose(1, VCell(Q2), VCell(R2))) is VCell
+    assert all(COMPOSITE_CALLS[call](1, Q2, R2) is True for call in COMPOSITE_CALLS if call.endswith("able"))
+
+
+class _SubVCell(VCell):
+    pass
+
+
+def test_v_calls_accept_a_vcell_subclass_and_return_a_vcell():
+    sub = _SubVCell(Q2)
+    for out in (v_source(sub), v_target(sub), v_identity(sub), v_compose(1, sub, _SubVCell(R2))):
+        assert type(out) is VCell
+    assert v_compose(1, sub, VCell(R2)) == VCell(Q2)
+
+
+@pytest.mark.parametrize(
+    "p, inner, outer",
+    [
+        (0, WCell(0, [(2, 1)]), WCell(0, ((1, 0),))),
+        (0, WCell(0, ((2, 1),)), WCell(0, [(1, 0)])),
+        (1, WCell(0, [(1, 0), (2, 0)]), R2),
+        (1, Q2, WCell(0, [(0, 0), (2, 0)])),
+        (1, WCell(0, [(1, 0), (2, 0)]), WCell(0, [(0, 0), (2, 0)])),
+    ],
+    ids=["list-inner-level-1", "list-outer-level-1", "list-inner-level-2", "list-outer-level-2", "both-lists"],
+)
+def test_a_list_spine_composes_like_its_tuple_spine(p, inner, outer):
+    # composable(cat, ...) is left out: its run hashes the cells, and a list spine is unhashable
+    tuples = WCell(inner.head, tuple(inner.spine)), WCell(outer.head, tuple(outer.spine))
+    out = w_compose(p, inner, outer)
+    assert out == w_compose(p, *tuples) and type(out) is WCell and type(out.spine) is tuple
+    v_out = v_compose(p, VCell(inner), VCell(outer))
+    assert v_out == VCell(out) and type(v_out) is VCell
+    assert w_composable(p, inner, outer) is True

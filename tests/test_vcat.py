@@ -1,10 +1,12 @@
 """V delegates everything to the dimension data; rendering is the point."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncat.errors import ConstraintViolation, InvalidArguments, NotComposable
+from ncat.errors import ConstraintViolation, InvalidArguments, NCatError, NotComposable
 from ncat.vcat import (
     VCell,
     v_compose,
@@ -16,6 +18,8 @@ from ncat.vcat import (
     v_to_w,
 )
 from ncat.wcat import w_compose, w_enumerate, w_identity, w_make, w_source, w_target
+
+from oracles import random_composable_wpair, random_wcell
 
 
 def vcell(head, spine):
@@ -93,3 +97,34 @@ def test_prop_wrapper_commutes_with_boundaries(q):
 def test_prop_wrapper_commutes_with_compose(a, c):
     if w_target(a) == w_source(c):
         assert v_compose(0, v_from_w(a), v_from_w(c)) == v_from_w(w_compose(0, a, c))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except NCatError as e:
+        return type(e), str(e)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=200)
+def test_prop_v_calls_are_wrapped_w_calls(seed, level):
+    # each v_ call gives VCell of the W call's result, exactly a VCell, or the W
+    # call's error class and text: faces of level 0 and level >= 1 cells, identities,
+    # and composites of a composable pair, of the pair swapped, and of unrelated cells
+    rng = random.Random(seed)
+    p = rng.randint(0, level - 1)
+    q = w_make(*random_wcell(rng, level, 4))
+    (ha, sa), (hc, sc) = random_composable_wpair(rng, level, p, 4)
+    a, c = w_make(ha, sa), w_make(hc, sc)
+    bare = rng.randint(0, 4)
+    calls = [(v, w, (), (cell,)) for v, w in ((v_source, w_source), (v_target, w_target), (v_identity, w_identity))
+             for cell in (q, bare)]
+    calls += [(v_compose, w_compose, (p,), pair) for pair in ((a, c), (c, a), (q, a))]
+    for v_call, w_call, depth, cells in calls:
+        w_out = _outcome(w_call, *depth, *cells)
+        v_out = _outcome(v_call, *depth, *map(VCell, cells))
+        if type(w_out) is tuple:  # the W call raised: (class, text)
+            assert v_out == w_out
+        else:
+            assert v_out == VCell(w_out) and type(v_out) is VCell
