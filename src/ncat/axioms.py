@@ -109,10 +109,13 @@ class AxiomReport(NamedTuple):
 def composable(cat, p: int, a, c) -> bool:
     """True iff ``c o_p a`` is defined: the depth-p target chain of the
     inner cell meets the depth-p source chain of the outer one."""
-    la = _depth(p, cat.level_of(a), cat.level_of(c))
-    run = _Run(cat, 0, None, ())
-    k = la - p
-    return _ok(run.chain(run.ids[a], run.target, k)) == _ok(run.chain(run.ids[c], run.source, k))
+    k = _depth(p, cat.level_of(a), cat.level_of(c)) - p
+    ends = []
+    for x, step in ((a, cat.target), (c, cat.source)):  # the inner cell's normalized chain first
+        for _ in range(k):
+            x = step(x)
+        ends.append(cat.normalize(x))
+    return ends[0] == ends[1]
 
 
 def _depth(p, la: int, lc: int) -> int:
@@ -202,13 +205,6 @@ class _Ids(dict):
         i = self[x] = len(self.cell)
         self.cell.append(x)
         return i
-
-
-def _ok(out):
-    """A table entry that is an id, as it is; a stored NCatError, raised again."""
-    if out.__class__ is int:
-        return out
-    raise out.with_traceback(None)
 
 
 class _Memo(dict):

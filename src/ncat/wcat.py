@@ -186,7 +186,7 @@ def w_composable(p: int, q, r) -> bool:
         _check_composable(p, q, r)
     except NotComposable:
         return False
-    except TypeError:
+    except (TypeError, IndexError):  # IndexError: a pair at p with one entry
         raise _malformed(q, r) from None
     return True
 
@@ -227,7 +227,7 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
             spine.append((x[0] + y[0], x[1] + y[1]))
         spine.append((qs[top][0], rs[top][1]))
         spine.extend(qs[top + 1 :])
-    except TypeError:  # a hand-built operand: an entry that does not add, or a spine of non-pairs
+    except (TypeError, IndexError):  # a hand-built operand: an entry that does not add, a pair not of two
         raise _malformed(q, r) from None
     return _checked(head, tuple(spine))
 

@@ -27,23 +27,25 @@ cell one level down whose home component is a single point — registered
 points on positive-dimensional spaces and base points get no diagonal
 cell.  Composites (Seq-headed cells) are only enumerated on request, by
 closing under composition.  Each instance builds a level, and its
-closure, once, from its cached level below; x_cells reads a new one.  The
-closure keeps one axioms.ChainIndex per depth for all its rounds and
-fills its composite table, keyed (p, a, c), which compose reads first.
-Its labels glue through the one gluing function, _glue_in, bound to its
-label-pair table keyed (u, v), which glue uses over a table of its own.
-A third table maps a label to its normal form; normalize reads it, so an
-instance normalizes each distinct label once.  The last two belong to one
-instance, as point_like reads its document.  compose is the one
-composition path: x_compose is XCategory(fd).compose.  It tests its
-operands' class once, and on a table miss the depth and the two chain
-keys once, before it glues.
+closure, once, from its cached level below; x_cells reads a new one.  It
+hash-conses (_Interned): each distinct label, and each cell as the tuple
+(head, s0, t0, s1, t1, ...) of its label ids, gets a dense int id.  The
+closure keeps one axioms.ChainIndex per depth over cell ids for all its
+rounds and fills the composite table, keyed (p, a, c) on cell ids; labels
+glue through the one gluing function, _glue_in, over the label-pair table
+keyed (u, v) on label ids (glue uses its own); the collector untracks those
+int tuples.  A cell is decoded to one cached XCell only where it leaves the
+instance, in cells() and compose(), which finds a cell the instance keeps
+by identity.  A third table maps a label to its normal form, for normalize.
+All are per instance, as point_like reads the document.  compose, the one
+composition path (x_compose too), checks a miss's depth and chains once.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -184,38 +186,51 @@ def normalize(x, fd: "FlowData | None" = None):
 
 
 def glue(u, v, fd: "FlowData | None" = None):
-    """normalize(Seq((u, v)), fd) for normal labels u and v: _glue_in over
-    a label-pair table of its own."""
+    """normalize(Seq((u, v)), fd) for normal labels u and v: _glue_in over tables of its own."""
     for x in (u, v):
         if not isinstance(x, _Label):
             raise _not_a_label(x)
-    return _glue_in({}, fd, u, v)
+    return (labels := _Interned()).key[_glue_in(labels, {}, fd, labels[u], labels[v])]
 
 
-def _glue_in(table: dict, fd, u, v):
-    """glue(u, v, fd) through table, keyed (u, v): the one gluing code.  A
-    diagonal at the seam needs no rewrite: a normal label with a real piece
-    holds no Pt pieces ((2) removed them; (3) turns a gluing of diagonals
-    into a diagonal), so Pt(a) glued to it, or to itself, leaves it with no
-    lookup.  Any other pair is glued once and stored: Pt(a) to an equal
-    Pt(a) is Pt(a) by (4), Pt(a) to Pt(b) is Pt(glue(a, b)) by (3), through
-    the same table, and any other pair's pieces are concatenated and
-    rewritten, neither half normalized again."""
-    if type(v) is Pt:
-        if type(u) is not Pt or u is v:
+class _Interned(dict):
+    """value -> a dense id, a new one for a value first seen; key[i] is the value with id i."""
+
+    __slots__ = ("key",)
+
+    def __init__(self):
+        self.key = []
+
+    def __missing__(self, x):
+        i = self[x] = len(self.key)
+        self.key.append(x)
+        return i
+
+
+def _glue_in(labels: _Interned, table: dict, fd, u: int, v: int) -> int:
+    """glue on the ids of labels, through table, keyed (u, v): the one gluing
+    code.  A diagonal at the seam needs no rewrite: a normal label with a
+    real piece holds no Pt pieces ((2) removed them; (3) turns a gluing of
+    diagonals into a diagonal), so Pt(a) glued to it, or to an equal Pt(a)
+    (one id), leaves it with no lookup.  Any other pair is glued once and
+    stored: Pt(a) to Pt(b) is Pt(glue(a, b)) by (3), through the same table,
+    and any other pair's pieces are concatenated and rewritten, neither
+    half normalized again."""
+    x, y = labels.key[u], labels.key[v]
+    if type(y) is Pt:
+        if type(x) is not Pt or u == v:
             return u
-    elif type(u) is Pt:
+    elif type(x) is Pt:
         return v
     out = table.get((u, v))
     if out is None:
-        if type(u) is not Pt:  # the pieces of both, as _pieces gives them
-            parts = [*u[1]] if type(u) is Seq else [u]
-            parts += v[1] if type(v) is Seq else (v,)
-            out = _rewrite(parts, fd)
-        elif u == v:
-            out = u
+        if type(x) is not Pt:  # the pieces of both, as _pieces gives them
+            parts = [*x[1]] if type(x) is Seq else [x]
+            parts += y[1] if type(y) is Seq else (y,)
+            out = labels[_rewrite(parts, fd)]
         else:
-            out = _new(Pt, (1, _glue_in(table, fd, u[1], v[1])))
+            inner = _glue_in(labels, table, fd, labels[x[1]], labels[y[1]])
+            out = labels[_new(Pt, (1, labels.key[inner]))]
         table[u, v] = out
     return out
 
@@ -351,6 +366,13 @@ def _chain_key(cell: XCell, p: int, side: int) -> tuple:
     return spine[k - 1][side], spine[k:]
 
 
+def _key_chain(keys: list, i: int, p: int, side: int) -> tuple:
+    """_chain_key on the key of cell id i: the label ids of the chain."""
+    k = keys[i]
+    m = len(k) - 2 * p
+    return (k[m - 2 + side],) + k[m:]
+
+
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
     _depth(p, _require_cell(a).level, _require_cell(c).level)
     try:
@@ -398,7 +420,7 @@ class XCategory:
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() hands
     out copies so callers cannot change the cache.  compose() reads the
-    composite table the closure filled and glues only pairs not in it;
+    composite table the closure filled and splices only pairs not in it;
     source, target, identity and render are the module's functions."""
 
     name = "x"
@@ -410,9 +432,11 @@ class XCategory:
         self.max_level = fd.max_level
         self.include_composites = include_composites
         self._cells = {}
-        self._composites = {}  # (p, a, c) -> c o_p a
-        self._glued = {}  # (u, v) -> glue(u, v, fd); per document, as point_like reads fd
-        self._glue_labels = partial(_glue_in, self._glued, fd)  # no frame of its own
+        self._labels, self._ids = _Interned(), _Interned()  # label -> id, cell key -> id
+        self._glued = {}  # (u, v) -> glue(u, v, fd) on label ids; per document, as point_like reads fd
+        self._glue = partial(_glue_in, self._labels, self._glued, fd)  # no frame of its own
+        # (p, a, c) -> c o_p a on cell ids; cell id -> the XCell handed out for it; its id() -> cell id
+        self._composites, self._out, self._kept = {}, {}, {}
         self._normal_forms = _LabelTable(normalize, fd)  # label -> normalize(label, fd); per document too
 
     def cells(self, level: int) -> list:
@@ -450,17 +474,17 @@ class XCategory:
         return self._cells[key]
 
     def _close_under_composition(self, level: int, cells: list) -> list:
-        """Semi-naive fixpoint: each round composes only the pairs with a cell
-        that the previous round added (the frontier), into the composite
-        table, so each composable pair of the closed set is glued once.
-        Each depth keeps one ChainIndex for every round, so each cell's
+        """Semi-naive fixpoint on cell ids: each round composes only the pairs
+        with a cell that the previous round added (the frontier), into the
+        composite table, so each composable pair of the closed set is spliced
+        once.  Each depth keeps one ChainIndex for every round, so each cell's
         chains are computed once: a round adds the frontier to it, then
         composes the frontier, as inner cells, with every cell added so far,
         and the cells added before it with the frontier."""
-        composites, glue_cells = self._composites, self._glue_cells
-        seen = set(cells)
-        indexes = [ChainIndex(_chain_key, p) for p in range(level)]
-        frontier = cells
+        composites, splice = self._composites, self._splice
+        frontier = [self._cell_id(x) for x in cells]  # kept, so handed out as they are
+        seen = set(frontier)
+        indexes = [ChainIndex(partial(_key_chain, self._ids.key), p) for p in range(level)]
         while frontier:
             fresh = []
             for index in indexes:
@@ -468,24 +492,38 @@ class XCategory:
                 new = index.add(frontier)
                 for pairs in (index.pairs(new), index.pairs(range(old), old)):
                     for a, c in pairs:
-                        out = composites[p, a, c] = glue_cells(p, a, c)
+                        out = composites[p, a, c] = splice(p, a, c)
                         if out not in seen:
                             seen.add(out)
                             fresh.append(out)
             frontier = fresh
-        return sorted(seen)
+        return sorted(map(self._decode, seen))
 
-    def _glue_cells(self, p: int, a: XCell, c: XCell) -> XCell:
-        """``c o_p a`` for a composable pair, unchecked: labels above depth p glue
-        pairwise to normal ones, the pair at p splices, the rest is shared."""
-        glue, (ha, sa), (hc, sc) = self._glue_labels, a, c
-        top = len(sa) - 1 - p
-        head = glue(ha, hc)
-        if not top:  # p = level - 1: only the heads glue
-            return _new(XCell, (head, ((sa[0][0], sc[0][1]),) + sa[1:]))
-        spine = [(glue(sa[k][0], sc[k][0]), glue(sa[k][1], sc[k][1])) for k in range(top)]
-        spine.append((sa[top][0], sc[top][1]))
-        return _new(XCell, (head, tuple(spine) + sa[top + 1 :]))
+    def _cell_id(self, cell) -> int:
+        """The id of a hashable cell, by identity or by value; the first XCell of an id is kept."""
+        i = self._kept.get(id(cell))
+        if i is None:
+            i = self._ids[tuple(map(self._labels.__getitem__, chain((cell[0],), *cell[1])))]
+            if cell.__class__ is XCell and i not in self._out:  # _out keeps it, so its id() stays its own
+                self._out[i], self._kept[id(cell)] = cell, i
+        return i
+
+    def _splice(self, p: int, a: int, c: int) -> int:
+        """The id of ``c o_p a`` for composable cell ids, unchecked."""
+        ka, kc = self._ids.key[a], self._ids.key[c]
+        n = len(ka) - 2 - 2 * p  # the head and the labels above p glue, the pair at p splices
+        if n == 1:  # p is the top depth: only the heads glue
+            return self._ids[(self._glue(ka[0], kc[0]), ka[1], kc[2], *ka[3:])]
+        return self._ids[(*map(self._glue, ka[:n], kc), ka[n], kc[n + 1], *ka[n + 2 :])]
+
+    def _decode(self, i: int) -> XCell:
+        """The XCell this instance hands out for cell id i."""
+        out = self._out.get(i)
+        if out is None:
+            labels = map(self._labels.key.__getitem__, self._ids.key[i])
+            out = self._out[i] = _new(XCell, (next(labels), tuple(zip(labels, labels))))
+            self._kept[id(out)] = i
+        return out
 
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells."""
@@ -503,20 +541,26 @@ class XCategory:
     render = staticmethod(x_render)
 
     def compose(self, p, a, c):
-        """``c o_p a`` from the composite table; a miss is checked and glued, not stored."""
+        """``c o_p a`` from the composite table on cell ids; a miss is checked and spliced, not stored."""
+        ia, ic = self._kept.get(id(a)), self._kept.get(id(c))
+        out = self._out.get(self._composites.get((p, ia, ic))) if p.__class__ is int else None  # no bool
+        if out is not None:
+            return out
         if a.__class__ is not XCell or c.__class__ is not XCell:
-            _require_cell(a), _require_cell(c)  # checked first: the read hashes them
+            _require_cell(a), _require_cell(c)
         try:
-            out = self._composites.get((p, a, c)) if p.__class__ is int else None  # True, 0.0 would match
-            if out is None:
-                _depth(p, len(a[1]), len(c[1]))
-                ta, sc = _chain_key(a, p, 1), _chain_key(c, p, 0)
-                if ta != sc:
-                    raise NotComposable(p, f"t-chain {XCell(*ta)} != s-chain {XCell(*sc)}")
-                out = self._glue_cells(p, a, c)
-        except TypeError:
+            if p.__class__ is int and None in (ia, ic):
+                hash((a, c))  # an unhashable cell is malformed before its depth is checked
+            _depth(p, len(a[1]), len(c[1]))
+            ta, sc = _chain_key(a, p, 1), _chain_key(c, p, 0)
+            if ta != sc:
+                raise NotComposable(p, f"t-chain {XCell(*ta)} != s-chain {XCell(*sc)}")
+            if ia is None or ic is None:  # interned by value: an equal copy's composite may be in the table
+                ia, ic = self._cell_id(a), self._cell_id(c)
+                out = self._composites.get((p, ia, ic))
+            return self._decode(self._splice(p, ia, ic) if out is None else out)
+        except (TypeError, IndexError):
             raise _malformed(a, c) from None
-        return out
 
     def normalize(self, cell):
         """The cell with each label in normal form, read from the instance's

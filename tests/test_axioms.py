@@ -912,7 +912,7 @@ def _tall(cell):
 
 @pytest.mark.parametrize("p", [0, 1])
 def test_composable_raises_a_stored_boundary_error(p):
-    # composable walks a run's tables, which store the error a boundary raised
+    # composable walks the chains by category calls, and a boundary raises
     cat = TallHasNoBoundary(max_level=2, bound=4)
     tall = next(x for x in cat.cells(2) if _tall(x))
     with pytest.raises(InvalidArguments, match="^no boundaries of tall level-2 cells$"):

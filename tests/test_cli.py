@@ -347,10 +347,11 @@ def seed_documents(tmp_path_factory, torus_file):
 
 # Label and cell hashes are tuple hashes over str ids, which PYTHONHASHSEED
 # changes, so no output may follow set or dict hash order.  XCategory's
-# composite table and its label-pair table, which every compose miss glues
-# through (the capped chain run has such misses), are such dicts.  Only a
-# document above level 2 glues pairs of diagonals deeply, so tilted_torus(3)
-# runs at level 3.
+# tables key on label and cell ids, which it hands out in the order it first
+# meets a label or cell, and every compose miss interns its operands and
+# glues through the label-pair table (the capped chain run has such misses).
+# Only a document above level 2 glues pairs of diagonals deeply, so
+# tilted_torus(3) runs at level 3.
 HASH_SEED_RUNS = [
     ("build", "torus"),
     ("functor --target g", "torus"),

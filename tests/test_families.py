@@ -7,7 +7,9 @@ composition, and its level-1 count against a closed form from the shape
 alone.
 """
 
+import gc
 import json
+import pickle
 
 import pytest
 
@@ -17,7 +19,7 @@ from ncat.families import tilted_torus
 from ncat.flowdata import emit_flow_data, parse_flow_data, validate_flow_data
 from ncat.functors import check_functor_laws
 from ncat.torus import torus_document
-from ncat.xcat import XCategory
+from ncat.xcat import XCategory, XCell
 
 from oracles import naive_closure, reference_compose, tilted_torus_level1_count
 
@@ -100,8 +102,34 @@ def test_every_composite_is_the_reference_composite():
     for l in range(TT3.max_level + 1):
         cat.cells(l)
     assert len(cat._composites) == 1096
+    cell = cat._decode  # the table holds cell ids
     for (p, a, c), out in cat._composites.items():
-        assert out == reference_compose(TT3, p, a, c)
+        assert cell(out) == reference_compose(TT3, p, cell(a), cell(c))
+
+
+def test_equal_copies_compose_as_the_handed_out_cells():
+    # copies built apart, labels too, are found by value, not by identity
+    cat = XCategory(TT3, True)
+    apart = lambda x: XCell(*pickle.loads(pickle.dumps((x.head, x.spine))))
+    pairs = [(p, a, c) for l in range(1, TT3.max_level + 1) for p in range(l) for a, c in cat.pairs(l, p)]
+    assert len(pairs) == 1096
+    for p, a, c in pairs:
+        a2, c2 = apart(a), apart(c)
+        assert a2 == a and a2 is not a and a2.head is not a.head
+        out = cat.compose(p, a, c)
+        assert cat.compose(p, a2, c2) is out and cat.compose(p, a, c2) is out
+        assert out == reference_compose(TT3, p, a2, c2)
+
+
+def test_closed_tables_hold_nothing_the_collector_tracks():
+    # the composite and label-pair tables hold ints and exact tuples of ints only
+    cat = XCategory(TT3, True)
+    for l in range(TT3.max_level + 1):
+        cat.cells(l)
+    gc.collect()
+    tables = cat._composites, cat._glued
+    assert all(tables)
+    assert not [x for table in tables for item in table.items() for x in item if gc.is_tracked(x)]
 
 
 def test_x_laws_hold_at_level_three():

@@ -339,3 +339,38 @@ def test_a_list_spine_composes_like_its_tuple_spine(p, inner, outer):
     v_out = v_compose(p, VCell(inner), VCell(outer))
     assert v_out == VCell(out) and type(v_out) is VCell
     assert w_composable(p, inner, outer) is True
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: w_compose(0, WCell(0, ((1,),)), WCell(0, ((1, 0),))),
+        lambda: w_composable(0, WCell(0, ((1,),)), WCell(0, ((1, 0),))),
+        lambda: w_compose(0, WCell(0, ((2, 1),)), WCell(0, ((1,),))),
+        lambda: v_compose(0, VCell(WCell(0, ((1,),))), VCell(WCell(0, ((1, 0),)))),
+    ],
+    ids=["w-compose-inner", "w-composable-inner", "w-compose-outer", "v-compose-inner"],
+)
+def test_a_one_entry_pair_at_p_is_malformed(call):
+    # these used to raise a bare IndexError
+    with pytest.raises(InvalidArguments) as e:
+        call()
+    assert str(e.value).startswith("malformed WCell spine ((1,),)")
+
+
+@pytest.mark.parametrize(
+    "p, inner, outer",
+    [
+        (0, WCell(0, [(2, 1)]), WCell(0, ((1, 0),))),
+        (0, WCell(0, ((2, 1),)), WCell(0, [(1, 0)])),
+        (0, WCell(0, [(2, 1)]), WCell(0, [(1, 0)])),
+        (0, WCell(0, [(2, 1)]), WCell(0, [(0, 0)])),
+    ],
+    ids=["list-inner", "list-outer", "both-lists", "not-composable"],
+)
+def test_composable_answers_as_w_composable_on_a_list_spine(p, inner, outer):
+    # composable used to hash the cells into a run's table: TypeError, unhashable type: 'list'.
+    # Level 1 only: above it w_target keeps a list spine, which never equals a tuple one
+    want = w_composable(p, inner, outer)
+    assert composable(WCategory(), p, inner, outer) is want
+    assert composable(VCategory(), p, VCell(inner), VCell(outer)) is want

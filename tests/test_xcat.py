@@ -305,7 +305,7 @@ def test_diagonal_seam_cases(fd):
 @pytest.mark.parametrize("build", [lambda: Pt(atom("x")), lambda: Pt(Pt(seq(atom("wx_d"), atom("xz_d"))))],
                          ids=["diagonal", "diagonal-of-diagonal"])
 def test_equal_diagonals_built_apart_glue_to_the_first(monkeypatch, build):
-    # not one object, so past the short cut: stored as themselves, never rewritten
+    # not one object, but one id: glued by the short cut, never stored or rewritten
     def no_rewrite(parts, fd):
         raise AssertionError(f"_rewrite called on {parts}")
 
@@ -314,9 +314,10 @@ def test_equal_diagonals_built_apart_glue_to_the_first(monkeypatch, build):
     assert u == v and u is not v
     assert glue(u, v, FD) is u and glue(v, u, FD) is v
     cat = XCategory(FD)
-    glue_labels = cat._glue_labels  # the closure's gluing, over its label-pair table
-    assert glue_labels(u, v) is u and glue_labels(v, u) is u  # the second call reads the table
-    assert list(cat._glued.items()) == [((u, v), u)] and next(iter(cat._glued.values())) is u
+    labels = cat._labels  # the closure's label ids, and its gluing over them
+    i = labels[u]
+    assert labels[v] == i and labels.key[i] is u
+    assert cat._glue(i, i) == i and not cat._glued
 
 
 def test_distinct_real_pieces_are_joined_without_a_rewrite(monkeypatch):
@@ -636,9 +637,9 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
     # closure, globularity and the X laws compose between them, counted as
     # distinct compose arguments of the same checks without the table
     fd = fd()
-    glued, checked = [], []  # checked: the pairs compose glues itself, on a table miss
+    glued, checked = [], []  # checked: the pairs compose splices itself, on a table miss
     composing = [0]
-    real_glue, real_compose = XCategory._glue_cells, XCategory.compose
+    real_glue, real_compose = XCategory._splice, XCategory.compose
 
     def counted_glue(self, p, a, c):
         glued.append((p, a, c))
@@ -653,7 +654,7 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
         finally:
             composing[0] -= 1
 
-    monkeypatch.setattr(XCategory, "_glue_cells", counted_glue)
+    monkeypatch.setattr(XCategory, "_splice", counted_glue)  # (p, a, c) on cell ids, one per cell
     monkeypatch.setattr(XCategory, "compose", counted_compose)
     cat = XCategory(fd, include_composites=True)  # one instance for every X check
     for l in range(fd.max_level + 1):
@@ -691,10 +692,10 @@ def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
     stack, rewritten = [], Counter()  # stack: the glue calls in progress
     real_glue, real_rewrite = xcat._glue_in, xcat._rewrite
 
-    def counted_glue(table, fd, u, v):
-        stack.append((u, v))
+    def counted_glue(labels, table, fd, u, v):  # label ids, counted as the labels they stand for
+        stack.append((labels.key[u], labels.key[v]))
         try:
-            return real_glue(table, fd, u, v)
+            return real_glue(labels, table, fd, u, v)
         finally:
             stack.pop()
 
@@ -763,11 +764,11 @@ def test_a_miss_of_compose_raises_as_x_compose_does(fd, missed):
     misses = 0
     for l in range(1, fd.max_level + 1):
         cells = cat.cells(l)
-        table = dict(cat._composites)
+        table = dict(cat._composites)  # keyed (p, a, c) on the ids of handed-out cells
         for p in range(l):
             for a in cells:
                 for c in cells:
-                    if (p, a, c) not in table:
+                    if (p, cat._cell_id(a), cat._cell_id(c)) not in table:
                         text = _not_composable_text(cat.compose, p, a, c)
                         assert text == _not_composable_text(x_compose, fd, p, a, c)
                         misses += 1
