@@ -132,26 +132,25 @@ def _depth(p, la: int, lc: int) -> int:
 
 class ChainIndex:
     """The one composability index at depth p, shared by the law engine and
-    X (closure and pair lists).  chain(x, p, side) is x's depth-p s-chain
-    (side 0) or t-chain (side 1).  The index holds the cells added so far in
-    order, each one's t-chain, and their positions by s-chain; add() extends
-    it in place, so a fixpoint keeps one index for all its rounds and
-    computes each cell's chains once."""
+    X (closure and pair lists).  chains(xs, p, side) gives the depth-p
+    s-chains (side 0) or t-chains (side 1) of the cells xs, in order.  The
+    index holds the cells added so far in order, each one's t-chain, and
+    their positions by s-chain; add() extends it in place, so a fixpoint
+    keeps one index for all its rounds and computes each cell's chains once."""
 
-    __slots__ = ("chain", "p", "cells", "targets", "by_source")
+    __slots__ = ("chains", "p", "cells", "targets", "by_source")
 
-    def __init__(self, chain, p: int):
-        self.chain, self.p = chain, p
+    def __init__(self, chains, p: int):
+        self.chains, self.p = chains, p
         self.cells, self.targets, self.by_source = [], [], {}
 
-    def add(self, cells) -> range:
+    def add(self, cells: list) -> range:
         """Append cells to the index; the range of their positions."""
-        chain, p, by_source, target = self.chain, self.p, self.by_source, self.targets.append
-        start = len(self.cells)
-        for i, x in enumerate(cells, start):
-            target(chain(x, p, 1))
-            by_source.setdefault(chain(x, p, 0), []).append(i)
-        self.cells.extend(cells)
+        start, by_source = len(self.cells), self.by_source
+        self.cells += cells
+        self.targets += self.chains(cells, self.p, 1)
+        for i, s in enumerate(self.chains(cells, self.p, 0), start):
+            by_source.setdefault(s, []).append(i)
         return range(start, len(self.cells))
 
     def pairs(self, inner, first: int = 0):
@@ -167,10 +166,10 @@ class ChainIndex:
                     yield a, cells[j]
 
 
-def composable_pairs(chain, p, cells):
+def composable_pairs(chains, p, cells: list):
     """Yield each composable (a, c) among cells at depth p, a in input order,
     then c in input order, through a ChainIndex built over them."""
-    index = ChainIndex(chain, p)
+    index = ChainIndex(chains, p)
     return index.pairs(index.add(cells))
 
 
@@ -370,7 +369,7 @@ class _Run:
                 else:
                     self.unwalked[l, p].append((x, t))
             self.keys[l, p] = keys
-            index = composable_pairs(lambda x, _, side: keys[x][side], p, walked)
+            index = composable_pairs(lambda xs, _, side: [keys[x][side] for x in xs], p, walked)
             self._pairs[l, p] = list(islice(index, self.cap))
         return self._pairs[l, p]
 

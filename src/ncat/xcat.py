@@ -31,14 +31,15 @@ closure, once, from its cached level below; x_cells reads a new one.  It
 hash-conses (_Interned): each distinct label, and each cell as the tuple
 (head, s0, t0, s1, t1, ...) of its label ids, gets a dense int id.  The
 closure keeps one axioms.ChainIndex per depth over cell ids for all its
-rounds and fills the composite table, keyed (p, a, c) on cell ids; labels
-glue through the one gluing function, _glue_in, over the label-pair table
-keyed (u, v) on label ids (glue uses its own); the collector untracks those
-int tuples.  A cell is decoded to one cached XCell only where it leaves the
-instance, in cells() and compose(), which finds a cell the instance keeps
-by identity.  A third table maps a label to its normal form, for normalize.
-All are per instance, as point_like reads the document.  compose, the one
-composition path (x_compose too), checks a miss's depth and chains once.
+rounds, each chain read off a key in C (so does pairs()), and fills the
+composite table, keyed (p, a, c) on cell ids; labels glue through the one
+gluing function, _glue_in, over the label-pair table keyed (u, v) on label
+ids (glue uses its own); the collector untracks those int tuples.  A cell
+is decoded to one cached XCell only where it leaves the instance, in
+cells() and compose(), which finds a cell the instance keeps by identity.
+A third table maps a label to its normal form, for normalize.  All are per
+instance, as point_like reads the document.  compose, the one composition
+path (x_compose too), checks a miss's depth and chains once.
 """
 
 from __future__ import annotations
@@ -366,11 +367,11 @@ def _chain_key(cell: XCell, p: int, side: int) -> tuple:
     return spine[k - 1][side], spine[k:]
 
 
-def _key_chain(keys: list, i: int, p: int, side: int) -> tuple:
-    """_chain_key on the key of cell id i: the label ids of the chain."""
-    k = keys[i]
-    m = len(k) - 2 * p
-    return (k[m - 2 + side],) + k[m:]
+def _key_chains(keys: list, level: int, ids: list, p: int, side: int):
+    """_chain_key on the keys of level-level cell ids, in C: the label ids of
+    each chain (one id, not a tuple, at depth 0)."""
+    m = 1 + 2 * (level - p)
+    return map(itemgetter(m - 2 + side, *range(m, 1 + 2 * level)), map(keys.__getitem__, ids))
 
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
@@ -428,9 +429,7 @@ class XCategory:
     def __init__(self, fd: FlowData, include_composites: bool = False):
         if not isinstance(fd, FlowData):
             raise InvalidArguments(f"expected a FlowData, got {fd!r}")
-        self.fd = fd
-        self.max_level = fd.max_level
-        self.include_composites = include_composites
+        self.fd, self.max_level, self.include_composites = fd, fd.max_level, include_composites
         self._cells = {}
         self._labels, self._ids = _Interned(), _Interned()  # label -> id, cell key -> id
         self._glued = {}  # (u, v) -> glue(u, v, fd) on label ids; per document, as point_like reads fd
@@ -484,7 +483,7 @@ class XCategory:
         composites, splice = self._composites, self._splice
         frontier = [self._cell_id(x) for x in cells]  # kept, so handed out as they are
         seen = set(frontier)
-        indexes = [ChainIndex(partial(_key_chain, self._ids.key), p) for p in range(level)]
+        indexes = [ChainIndex(partial(_key_chains, self._ids.key, level), p) for p in range(level)]
         while frontier:
             fresh = []
             for index in indexes:
@@ -526,11 +525,12 @@ class XCategory:
         return out
 
     def pairs(self, level: int, p: int) -> list:
-        """x_composable_pairs over this instance's cells."""
+        """x_composable_pairs over this instance's cells, found on their ids: cells() hands out kept cells."""
         cells = self.cells(level)
         if cells:
             _depth(p, level, level)
-        return list(composable_pairs(_chain_key, p, cells))
+        out, chains = self._out, partial(_key_chains, self._ids.key, level)
+        return [(out[a], out[c]) for a, c in composable_pairs(chains, p, list(map(self._cell_id, cells)))]
 
     def level_of(self, cell) -> int:
         return _require_cell(cell).level
@@ -551,10 +551,11 @@ class XCategory:
         try:
             if p.__class__ is int and None in (ia, ic):
                 hash((a, c))  # an unhashable cell is malformed before its depth is checked
-            _depth(p, len(a[1]), len(c[1]))
-            ta, sc = _chain_key(a, p, 1), _chain_key(c, p, 0)
-            if ta != sc:
-                raise NotComposable(p, f"t-chain {XCell(*ta)} != s-chain {XCell(*sc)}")
+            sa, sc = a[1], c[1]
+            k = _depth(p, len(sa), len(sc)) - p  # the chains, as _chain_key gives them, compared in place
+            if sa[k - 1][1] != sc[k - 1][0] or sa[k:] != sc[k:]:
+                ta, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
+                raise NotComposable(p, f"t-chain {ta} != s-chain {sc}")
             if ia is None or ic is None:  # interned by value: an equal copy's composite may be in the table
                 ia, ic = self._cell_id(a), self._cell_id(c)
                 out = self._composites.get((p, ia, ic))

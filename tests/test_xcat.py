@@ -969,6 +969,22 @@ def test_composable_pairs_with_composites_match_brute_force():
             assert x_composable_pairs(FD, l, p, include_composites=True) == brute
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["plain", "closed"])
+@pytest.mark.parametrize("fd", [lambda: chain_fd(4, 2), lambda: tt_fd(3)], ids=["chain-4-2", "tilted-torus-3"])
+def test_pairs_on_ids_are_the_brute_force_pairs_of_the_handed_out_cells(fd, closed):
+    # pairs() matches chains on cell ids: the same pairs in the same order,
+    # a then c in cells() order, and each one the very cell cells() handed out
+    fd = fd()
+    cat = XCategory(fd, include_composites=closed)
+    for l in range(1, fd.max_level + 1):
+        cells = cat.cells(l)
+        handed = {id(x) for x in cells}
+        for p in range(l):
+            brute = [(a, c) for a in cells for c in cells if x_composable(p, a, c)]
+            got = cat.pairs(l, p)
+            assert got == brute and {id(x) for pair in got for x in pair} <= handed
+
+
 @pytest.mark.parametrize("fd", [FD, chain_fd(3, 2)], ids=["torus", "chain-3-2"])
 def test_closure_matches_naive_fixpoint(fd):
     for l in range(fd.max_level + 1):
