@@ -192,36 +192,30 @@ class _Law:
         return AxiomEntry(self.axiom, self.checked, tuple(self.failures))
 
 
-class _Ids(dict):
-    """Dense cell ids: ids[x] is the id of cell x, a new one unless an equal
-    cell has one, and ids.cell[i] is the cell with id i."""
+class _Interned(dict):
+    """value -> a dense id, a new one for a value first seen; key[i] is the value with id i."""
+
+    __slots__ = ("key",)
 
     def __init__(self):
-        super().__init__()
-        self.cell = []
+        self.key = []
 
     def __missing__(self, x):
-        i = self[x] = len(self.cell)
-        self.cell.append(x)
+        i = self[x] = len(self.key)
+        self.key.append(x)
         return i
 
 
 class _Memo(dict):
-    """key -> ids[call(key)], or the NCatError that call raised; call, a
-    category's method or a functor, runs once per distinct key, and a miss
-    costs one frame besides it.  ``peek(key)`` gives the stored id or error
-    and never raises.  Keyed by the argument itself (functor images);
-    ``_OnIds`` and ``_Composites`` key the category calls by ids."""
+    """key -> call(key), computed on its first lookup; ``peek(key)`` reads
+    it.  call is no bound method or closure of the table's owner, so the
+    owner is freed without the cycle collector."""
 
-    def __init__(self, call, ids):
-        self.call, self.ids, self.cell = call, ids, ids.cell
+    def __init__(self, call):
+        self.call = call
 
     def __missing__(self, key):
-        try:
-            out = self.ids[self.call(key)]
-        except NCatError as e:
-            out = e
-        self[key] = out
+        out = self[key] = self.call(key)
         return out
 
     peek = dict.__getitem__
@@ -229,7 +223,11 @@ class _Memo(dict):
 
 class _OnIds(_Memo):
     """id i -> ids[call(cell[i])], or the NCatError raised; a stored error
-    handed in as a key is its own value, with no call."""
+    handed in as a key is its own value, with no call.  A miss costs one
+    frame besides call."""
+
+    def __init__(self, call, ids: _Interned):
+        self.call, self.ids, self.cell = call, ids, ids.key
 
     def __missing__(self, i):
         if i.__class__ is not int:
@@ -242,7 +240,7 @@ class _OnIds(_Memo):
         return out
 
 
-class _Composites(_Memo):
+class _Composites(_OnIds):
     """(p, a, c) -> ids[call(p, cell[a], cell[c])], or the NCatError raised;
     a stored error handed in for a, else for c, is the value, with no call."""
 
@@ -266,13 +264,14 @@ class _Run:
     ``ids[x]`` is the id of cell x and ``cell[i]`` the cell with id i.  The
     sampled cells of each level from ``low`` up (``sample``; every cell
     when ``samples`` is None), the pair lists and every law instance hold
-    ids; a cell is rendered only for a witness.  Five tables (``_Memo``)
-    hold the id of what a category call returned, or the ``NCatError`` it
-    raised: ``composite`` keyed (p, a, c), and ``source``, ``target``,
-    ``identity`` and ``normalize`` keyed by id.  Handed a stored error in
-    place of an id, a table gives it back without a category call, so a
-    chain of peeks stops at the first error, as raising calls do.  A law
-    hands an instance that did not pass to ``settle`` as those values.
+    ids; a cell is rendered only for a witness.  Five tables (``_Memo``s
+    over ``ids``) hold the id of what a category call returned, or the
+    ``NCatError`` it raised: ``composite`` (``_Composites``) keyed (p, a,
+    c), and ``source``, ``target``, ``identity`` and ``normalize``
+    (``_OnIds``) keyed by id.  Handed a stored error in place of an id, a
+    table gives it back without a category call, so a chain of peeks stops
+    at the first error, as raising calls do.  A law hands an instance that
+    did not pass to ``settle`` as those values.
     """
 
     def __init__(self, cat, seed, samples, levels, low=0):
@@ -288,8 +287,8 @@ class _Run:
             levels = range(cat.max_level + 1)
         self.levels = [l for l in levels if type(l) is not int or l >= low]  # cells() rejects a non-int
         # the tables see ids and cat's methods, never self: a run is freed without the cycle collector
-        ids = self.ids = _Ids()
-        self.cell = ids.cell
+        ids = self.ids = _Interned()
+        self.cell = ids.key
         self.source = _OnIds(cat.source, ids)
         self.target = _OnIds(cat.target, ids)
         self.identity = _OnIds(cat.identity, ids)

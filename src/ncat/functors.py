@@ -8,20 +8,24 @@ point contributes 0, a gluing contributes the sum of its pieces — so
 normalization never changes an index, which is what makes G well defined
 on the almost strict structure.
 
-A check_functor_laws run reads each label's index from one table (label
--> ind), filled on first lookup, for all its images of G or F and its
-index bounds, so the run computes each distinct label's index once; a
-call of functor_g or functor_f computes its labels' indices directly.
+A check_functor_laws run reads each label's index from one axioms._Memo
+(label -> ind), filled on first lookup, for all its images of G or F and
+its index bounds, so the run computes each distinct label's index once;
+a second _Memo holds each distinct cell's image as an id of the run's
+axioms._Interned.  A call of functor_g or functor_f computes its labels'
+indices directly.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .axioms import AxiomReport, _Law, _Memo, _Run
-from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, UnknownAtom
+from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, NCatError, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
 from .wcat import WCategory, w_make
-from .xcat import Atom, Pt, Seq, XCategory, XCell, _LabelTable, _malformed, _not_a_label, x_render
+from .xcat import Atom, Pt, Seq, XCategory, XCell, _malformed, _not_a_label, x_render
 
 __all__ = ["ind_env", "ind", "functor_g", "functor_f", "check_functor_laws"]
 
@@ -118,12 +122,19 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     else:
         raise InvalidArguments(f"unknown functor target {target!r}")
     env = ind_env(fd)
-    index = _LabelTable(ind, env).__getitem__  # ind(label, env), each label's once per run
+    index = _Memo(partial(ind, env=env)).peek  # ind(label, env), each label's once per run
     through = _THROUGH.get(functor)  # None for a functor put in place of G or F
-    call = (lambda cell: through(cell, index)) if through else (lambda cell: functor(cell, env))
     cat = XCategory(fd, include_composites=True)
     run = _Run(tcat, 0, None, ())
-    image = _Memo(call, run.ids).peek
+    ids = run.ids
+
+    def image_id(cell):  # the id in run of the cell's image, or the NCatError raised
+        try:
+            return ids[through(cell, index) if through else functor(cell, env)]
+        except NCatError as e:
+            return e
+
+    image = _Memo(image_id).peek
     src, tgt, one, comp = (
         _Law(f"functor-{target}-{law}") for law in ("source", "target", "identity", "compose")
     )

@@ -95,8 +95,6 @@ class VCategory(WCategory):
     """V behind the generic category interface: W's cells, levels and
     normal forms, each cell wrapped as a VCell, and the v_ functions."""
 
-    name = "v"
-
     def _enumerate(self, level: int) -> list:
         return [VCell(q) for q in super()._enumerate(level)]
 

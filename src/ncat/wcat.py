@@ -150,7 +150,7 @@ def _face(q: WCell, side: int, name: str):
     try:
         spine = q[1]
         entry = spine[0][side]
-        return entry if len(spine) == 1 else _new(WCell, (entry, spine[1:]))
+        return entry if len(spine) == 1 else _new(WCell, (entry, tuple(spine[1:])))
     except (TypeError, IndexError):
         raise _malformed(q) from None
 
@@ -276,8 +276,6 @@ class WCategory:
     Each level is enumerated once per instance; cells() hands out copies
     so callers cannot change the cache.
     """
-
-    name = "w"
 
     def __init__(self, max_level: int = 3, bound: int = 3):
         self.max_level = max_level

@@ -28,18 +28,19 @@ points on positive-dimensional spaces and base points get no diagonal
 cell.  Composites (Seq-headed cells) are only enumerated on request, by
 closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  It
-hash-conses (_Interned): each distinct label, and each cell as the tuple
-(head, s0, t0, s1, t1, ...) of its label ids, gets a dense int id.  The
-closure keeps one axioms.ChainIndex per depth over cell ids for all its
-rounds, each chain read off a key in C (so does pairs()), and fills the
-composite table, keyed (p, a, c) on cell ids; labels glue through the one
-gluing function, _glue_in, over the label-pair table keyed (u, v) on label
-ids (glue uses its own); the collector untracks those int tuples.  A cell
-is decoded to one cached XCell only where it leaves the instance, in
-cells() and compose(), which finds a cell the instance keeps by identity.
-A third table maps a label to its normal form, for normalize.  All are per
-instance, as point_like reads the document.  compose, the one composition
-path (x_compose too), checks a miss's depth and chains once.
+hash-conses (axioms._Interned): each distinct label, and each cell as
+the tuple (head, s0, t0, s1, t1, ...) of its label ids, gets a dense int
+id.  The closure keeps one axioms.ChainIndex per depth over cell ids for
+all its rounds, each chain read off a key in C (so does pairs()), and
+fills the composite table, keyed (p, a, c) on cell ids; labels glue
+through the one gluing function, _glue_in, over the label-pair table
+keyed (u, v) on label ids (glue uses its own); the collector untracks
+those int tuples.  A cell is decoded to one cached XCell only where it
+leaves the instance, in cells() and compose(), which finds a cell the
+instance keeps by identity.  A third table, an axioms._Memo, maps a
+label to its normal form, for normalize.  All are per instance, as
+point_like reads the document.  compose, the one composition path
+(x_compose too), checks a miss's depth and chains once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .axioms import ChainIndex, _depth, composable_pairs
+from .axioms import ChainIndex, _depth, _Interned, _Memo, composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -194,20 +195,6 @@ def glue(u, v, fd: "FlowData | None" = None):
     return (labels := _Interned()).key[_glue_in(labels, {}, fd, labels[u], labels[v])]
 
 
-class _Interned(dict):
-    """value -> a dense id, a new one for a value first seen; key[i] is the value with id i."""
-
-    __slots__ = ("key",)
-
-    def __init__(self):
-        self.key = []
-
-    def __missing__(self, x):
-        i = self[x] = len(self.key)
-        self.key.append(x)
-        return i
-
-
 def _glue_in(labels: _Interned, table: dict, fd, u: int, v: int) -> int:
     """glue on the ids of labels, through table, keyed (u, v): the one gluing
     code.  A diagonal at the seam needs no rewrite: a normal label with a
@@ -274,21 +261,6 @@ def _collapse(parts: list, fd) -> list:
                 break
         k += 1
     return parts
-
-
-class _LabelTable(dict):
-    """label -> call(label, arg), each label's computed on its first lookup
-    and kept as long as the table: an XCategory's normal forms, or the
-    indices of one functor-law check."""
-
-    __slots__ = ("call", "arg")
-
-    def __init__(self, call, arg):
-        self.call, self.arg = call, arg
-
-    def __missing__(self, label):
-        out = self[label] = self.call(label, self.arg)
-        return out
 
 
 class XCell(NamedTuple):
@@ -424,8 +396,6 @@ class XCategory:
     composite table the closure filled and splices only pairs not in it;
     source, target, identity and render are the module's functions."""
 
-    name = "x"
-
     def __init__(self, fd: FlowData, include_composites: bool = False):
         if not isinstance(fd, FlowData):
             raise InvalidArguments(f"expected a FlowData, got {fd!r}")
@@ -436,7 +406,7 @@ class XCategory:
         self._glue = partial(_glue_in, self._labels, self._glued, fd)  # no frame of its own
         # (p, a, c) -> c o_p a on cell ids; cell id -> the XCell handed out for it; its id() -> cell id
         self._composites, self._out, self._kept = {}, {}, {}
-        self._normal_forms = _LabelTable(normalize, fd)  # label -> normalize(label, fd); per document too
+        self._normal_forms = _Memo(partial(normalize, fd=fd))  # label -> its normal form; per document too
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -568,7 +538,7 @@ class XCategory:
         normal-form table: each distinct label is normalized once."""
         if cell.__class__ is not XCell:
             _require_cell(cell)
-        n = self._normal_forms.__getitem__
+        n = self._normal_forms.peek
         try:
             return _new(XCell, (n(cell[0]), tuple([(n(s), n(t)) for s, t in cell[1]])))
         except TypeError:

@@ -328,6 +328,14 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert done.returncode == 0
 
 
+def test_the_runtime_imports_only_the_standard_library():
+    # -I -S leave site-packages off sys.path, so a non-stdlib import fails, and -W error fails a warning
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import ncat.cli, ncat.families"
+    done = subprocess.run([sys.executable, "-I", "-S", "-W", "error", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("args", [["-c", "import ncat.cli"], ["-m", "ncat", "torus"]], ids=["import", "torus"])
 def test_the_cli_raises_no_warning(args):
     # -W error makes a deprecation warning on a newer Python fail the run

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncat.flowdata as flowdata
 from ncat.errors import DuplicateId, InvalidArguments, NCatError, SchemaError, UnknownId
@@ -665,6 +667,64 @@ def test_only_non_ascii_strings_take_the_full_check(monkeypatch, make, marked):
         cp["id"] for sp in d["moduli"] for cp in sp["critical_points"]]
     assert validate_flow_data(fd).passed
     assert emit_flow_data(fd) == canonical(d)
+
+
+class _DictSubclass(dict):
+    """An object _object's one pass skips: it takes the ordered checks."""
+
+
+SCHEMAS = {
+    "document": flowdata._DOCUMENT,
+    "base-point": flowdata._BASE_POINT,
+    "crit-point": flowdata._CRIT_POINT,
+    "space": flowdata._SPACE,
+    "factor": flowdata._FACTOR,
+}
+VALUES = {
+    int: st.integers(-2, 9),
+    str: st.text("abz_0", min_size=1, max_size=4),
+    list: st.lists(st.integers(0, 3), max_size=2),
+}
+OTHER = st.sampled_from([None, 1.5, 3, "a", [], {"a": 1}])  # a value of some JSON type
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_one_pass_and_the_ordered_checks_agree(data):
+    # _object clears a dict with exact types and ASCII strings in one pass and
+    # runs the ordered checks on anything else; both give one value or error
+    schema = SCHEMAS[data.draw(st.sampled_from(sorted(SCHEMAS)))]
+    fields, optional = schema[0], schema[4]
+    value = {key: data.draw(VALUES[kind]) for key, kind in fields.items()
+             if key not in optional or data.draw(st.booleans())}
+    value = {key: value[key] for key in data.draw(st.permutations(list(value)))}
+    mutation = data.draw(st.sampled_from(["none", "drop", "add", "type", "bool", "non-ascii", "surrogate"]))
+    keys = list(fields)
+    if mutation in ("non-ascii", "surrogate"):
+        keys = [k for k in fields if fields[k] is str]
+    elif mutation == "bool":
+        keys = [k for k in fields if fields[k] is int] or keys
+    key = data.draw(st.sampled_from(keys))
+    if mutation == "drop":
+        value.pop(key, None)
+    elif mutation == "add":
+        value[data.draw(st.sampled_from(["extra", "Name", "\u00e9", "\ud800"]))] = data.draw(OTHER)
+    elif mutation == "type":
+        value[key] = data.draw(OTHER.filter(lambda v: type(v) is not fields[key]))
+    elif mutation == "bool":
+        value[key] = data.draw(st.booleans())
+    elif mutation == "non-ascii":
+        value[key] = data.draw(VALUES[str]) + data.draw(st.sampled_from(["\u00e9", "\u03c0", "\U0001d11e"]))
+    elif mutation == "surrogate":
+        value[key] = data.draw(st.text("ab", max_size=2)) + data.draw(st.sampled_from(["\ud800", "\udfff"]))
+
+    def outcome(v):
+        try:
+            return flowdata._object(v, schema, "$.moduli[{}]", (2,))
+        except NCatError as e:
+            return type(e), str(e)
+
+    assert outcome(value) == outcome(_DictSubclass(value))
 
 
 @pytest.mark.parametrize(

@@ -365,12 +365,17 @@ def test_a_one_entry_pair_at_p_is_malformed(call):
         (0, WCell(0, ((2, 1),)), WCell(0, [(1, 0)])),
         (0, WCell(0, [(2, 1)]), WCell(0, [(1, 0)])),
         (0, WCell(0, [(2, 1)]), WCell(0, [(0, 0)])),
+        (1, WCell(0, [(1, 0), (2, 0)]), WCell(0, ((0, 0), (2, 0)))),
+        (1, WCell(0, ((1, 0), (2, 0))), WCell(0, [(0, 0), (2, 0)])),
+        (1, WCell(0, [(1, 0), (2, 0)]), WCell(0, [(0, 0), (2, 0)])),
     ],
-    ids=["list-inner", "list-outer", "both-lists", "not-composable"],
+    ids=["list-inner", "list-outer", "both-lists", "not-composable", "level-2-list-inner",
+         "level-2-list-outer", "level-2-both-lists"],
 )
 def test_composable_answers_as_w_composable_on_a_list_spine(p, inner, outer):
     # composable used to hash the cells into a run's table: TypeError, unhashable type: 'list'.
-    # Level 1 only: above it w_target keeps a list spine, which never equals a tuple one
+    # At level 2 the chains are level-1 cells: w_source and w_target give them a tuple spine,
+    # so a list spine's chain equals the same tuple spine's
     want = w_composable(p, inner, outer)
     assert composable(WCategory(), p, inner, outer) is want
     assert composable(VCategory(), p, VCell(inner), VCell(outer)) is want
