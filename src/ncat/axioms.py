@@ -10,7 +10,8 @@ laws of ``check_functor_laws`` included, walks the tables of one run
 (``_Run``) on dense cell ids, and keeps its tally (``_Law``).  A law reads
 each side from the tables as an id or a stored error, never raising; an
 instance whose sides are one id passes, and any other goes to
-``_Run.settle``, the one place witnesses are written.
+``_Run.settle``, the one place witnesses are written.  An XCategory with
+its own protocol lends a run its cell ids and calls on them (``_on_ids``).
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -258,20 +259,37 @@ class _Composites(_OnIds):
         return out
 
 
+class _IdComposites(_Composites):
+    """_Composites for X's compose on its own cell ids: (p, a, c) -> call(p, a, c), an id."""
+
+    def __missing__(self, key):
+        p, a, c = key
+        if a.__class__ is not int or c.__class__ is not int:
+            return a if a.__class__ is not int else c
+        try:
+            out = self.call(p, a, c)
+        except NCatError as e:
+            out = e
+        self[key] = out
+        return out
+
+
 class _Run:
     """One checking run on dense cell ids.
 
-    ``ids[x]`` is the id of cell x and ``cell[i]`` the cell with id i.  The
-    sampled cells of each level from ``low`` up (``sample``; every cell
-    when ``samples`` is None), the pair lists and every law instance hold
-    ids; a cell is rendered only for a witness.  Five tables (``_Memo``s
-    over ``ids``) hold the id of what a category call returned, or the
-    ``NCatError`` it raised: ``composite`` (``_Composites``) keyed (p, a,
-    c), and ``source``, ``target``, ``identity`` and ``normalize``
-    (``_OnIds``) keyed by id.  Handed a stored error in place of an id, a
-    table gives it back without a category call, so a chain of peeks stops
-    at the first error, as raising calls do.  A law hands an instance that
-    did not pass to ``settle`` as those values.
+    ``ids`` interns what the tables hold and ``cell[i]`` is the cell with
+    id i.  The sampled cells of each level from ``low`` up (``sample``;
+    every cell when ``samples`` is None), the pair lists and every law
+    instance hold ids; a cell is rendered only for a witness.  Five tables
+    (``_Memo``s over ``ids``) hold the id of what a category call returned,
+    or the ``NCatError`` it raised: ``composite`` keyed (p, a, c), and
+    ``source``, ``target``, ``identity`` and ``normalize`` (``_OnIds``)
+    keyed by id.  Handed a stored error in place of an id, a table gives it
+    back without a category call, so a chain of peeks stops at the first
+    error, as raising calls do.  A law hands an instance that did not pass
+    to ``settle`` as those values.  An XCategory with its own protocol gives
+    its ids, calls on keys, compose on ids (``_IdComposites``, filled first
+    with what its closures composed) and ``cell``, its decoder.
     """
 
     def __init__(self, cat, seed, samples, levels, low=0):
@@ -287,13 +305,16 @@ class _Run:
             levels = range(cat.max_level + 1)
         self.levels = [l for l in levels if type(l) is not int or l >= low]  # cells() rejects a non-int
         # the tables see ids and cat's methods, never self: a run is freed without the cycle collector
-        ids = self.ids = _Interned()
-        self.cell = ids.key
-        self.source = _OnIds(cat.source, ids)
-        self.target = _OnIds(cat.target, ids)
-        self.identity = _OnIds(cat.identity, ids)
-        self.normalize = _OnIds(cat.normalize, ids)
-        self.composite = _Composites(cat.compose, ids)
+        own = getattr(type(cat), "_on_ids", lambda cat: None)(cat)  # an XCategory's calls on its ids
+        if own is None:
+            ids = _Interned()
+            intern, self.cell, composite = ids.__getitem__, ids.key, _Composites(cat.compose, ids)
+            calls = cat.source, cat.target, cat.identity, cat.normalize
+        else:
+            ids, intern, self.cell, calls, compose, known = own
+            composite = _IdComposites(compose, ids)
+        self.ids, self.composite = ids, composite
+        self.source, self.target, self.identity, self.normalize = (_OnIds(f, ids) for f in calls)
         rng = random.Random(seed)
         self.sample = {}
         for l in self.levels:
@@ -301,7 +322,9 @@ class _Run:
             if samples is not None and len(cells) > samples:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
-            self.sample[l] = [ids[x] for x in cells]
+            self.sample[l] = list(map(intern, cells))
+        if own is not None:  # the composites X's closures glued, read with no call
+            composite.update(known)
         self._pairs = {}
         self.keys = {}  # (l, p) -> {id: (s-chain, t-chain)} of the cells in pairs(l, p)
         self.unwalked = {}  # (l, p) -> [(id, NCatError)] left out of pairs(l, p)
@@ -400,16 +423,12 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     The run gives every cell it meets a dense id and keeps one table per
     category call: each distinct (p, a, c) is composed once, and each
     distinct cell is handed to ``source``, ``target``, ``identity`` and
-    ``normalize`` once.  So those calls must be deterministic in the values
-    of their arguments: an equal result, or an error with the same message.
-    ``check_globularity`` and ``check_functor_laws`` walk the same kind of
-    run, the latter computing each distinct cell's image once.  Every law,
-    theirs too, walks its instances over the tables, never raising: one
-    whose two sides are one id passes, and any other goes to
-    ``_Run.settle``, which records each stored error as a witness and
-    compares two ids with ``normalize``.  A cell whose chain walk raises
-    while the pair lists are built is one comp-st witness and in no pair
-    at that level and depth.
+    ``normalize`` once, or, on an XCategory with its own protocol, its key
+    to the instance's own calls on keys, which hash and build no XCell.  So
+    those calls must be deterministic in the values of their arguments: an
+    equal result, or an error with the same message.  A cell whose chain
+    walk raises while the pair lists are built is one comp-st witness and
+    in no pair at that level and depth.
     """
     run = _Run(cat, seed, samples, levels)
     laws = (_comp_st, _id_st, _assoc, _unit, _binary_interchange, _nullary_interchange)

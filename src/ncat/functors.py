@@ -8,19 +8,17 @@ point contributes 0, a gluing contributes the sum of its pieces — so
 normalization never changes an index, which is what makes G well defined
 on the almost strict structure.
 
-A check_functor_laws run reads each label's index from one axioms._Memo
-(label -> ind), filled on first lookup, for all its images of G or F and
-its index bounds, so the run computes each distinct label's index once;
-a second _Memo holds each distinct cell's image as an id of the run's
-axioms._Interned.  A call of functor_g or functor_f computes its labels'
-indices directly.
+A check_functor_laws run walks X on X's own cell ids.  It reads each
+label's index from one axioms._Memo keyed on label ids, for all its
+images of G or F and its index bounds, so it computes each distinct
+label's index once; a second _Memo holds each distinct cell's image as
+an id of the receiving run.  A call of functor_g or functor_f computes
+its labels' indices directly.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
-from .axioms import AxiomReport, _Law, _Memo, _Run
+from .axioms import AxiomReport, _Law, _Memo, _OnIds, _Run
 from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, NCatError, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
@@ -79,19 +77,19 @@ def _image(through, cell, env):
         raise _malformed(cell) from None
 
 
-def _g(cell: XCell, index):
-    """functor_g, each label's index given by index(label)."""
+def _g(cell, index, render=x_render):
+    """functor_g, each label's index given by index(label); render(cell) names it in an error."""
     head, spine = cell
     if not spine:
         return index(head)
     try:
         return w_make(index(head), [(index(s), index(t)) for s, t in spine])
     except ConstraintViolation as e:
-        raise FlowDataInconsistent(f"G({x_render(cell)}) is not a valid cell: {e}") from e
+        raise FlowDataInconsistent(f"G({render(cell)}) is not a valid cell: {e}") from e
 
 
-def _f(cell: XCell, index) -> VCell:
-    """functor_f, each label's index given by index(label)."""
+def _f(cell, index, render=x_render) -> VCell:
+    """functor_f, each label's index given by index(label); render(cell) names it in an error."""
     head, spine = cell
     if not spine:
         return tuple.__new__(VCell, (index(head),))
@@ -99,7 +97,7 @@ def _f(cell: XCell, index) -> VCell:
     try:
         return tuple.__new__(VCell, (w_make(index(head), dims),))
     except ConstraintViolation as e:
-        raise FlowDataInconsistent(f"F({x_render(cell)}) is not a valid cell: {e}") from e
+        raise FlowDataInconsistent(f"F({render(cell)}) is not a valid cell: {e}") from e
 
 
 def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
@@ -111,9 +109,9 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     as every axiom does: each distinct cell's image, and its boundaries,
     identity and composites there, are computed once (so the functor must
     be deterministic per cell), and only a failing instance reaches settle.
-    Each X composite comes from the closure's composite table, not a glue.
-    The images of G or F and the index bound read one index table for the
-    run, so each distinct label's index is computed once.
+    X is walked on its own ids (XCategory._on_ids), composites read from
+    its closure's table and images from keys through the index table; an
+    XCell is decoded only for text or for a functor put in place of G or F.
     """
     if target == "g":
         name, functor, tcat = "G", functor_g, WCategory()
@@ -122,15 +120,19 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     else:
         raise InvalidArguments(f"unknown functor target {target!r}")
     env = ind_env(fd)
-    index = _Memo(partial(ind, env=env)).peek  # ind(label, env), each label's once per run
     through = _THROUGH.get(functor)  # None for a functor put in place of G or F
     cat = XCategory(fd, include_composites=True)
-    run = _Run(tcat, 0, None, ())
-    ids = run.ids
+    xids, cell_id, decode, (s_x, t_x, one_x, _), _, composites = cat._on_ids(own_only=False)
+    run, keys, labels = _Run(tcat, 0, None, ()), xids.key, cat._labels.key
+    ids, render = run.ids, lambda i: x_render(decode[i])
+    index = _Memo(lambda u: ind(labels[u], env)).peek  # ind of label id u, each label's once per run
 
-    def image_id(cell):  # the id in run of the cell's image, or the NCatError raised
+    def image_id(i):  # the id in run of cell i's image, or the NCatError raised
         try:
-            return ids[through(cell, index) if through else functor(cell, env)]
+            if through is None:
+                return ids[functor(decode[i], env)]
+            k = iter(keys[i])  # the cell as (head, spine) on label ids
+            return ids[through((next(k), tuple(zip(k, k))), index, lambda _: render(i))]
         except NCatError as e:
             return e
 
@@ -140,41 +142,42 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     )
     bound = _Law("index-bound")
     maps = (
-        (one, cat.identity, run.identity.peek, "1"),
-        (src, cat.source, run.source.peek, "s"),
-        (tgt, cat.target, run.target.peek, "t"),
+        (one, _OnIds(one_x, xids).peek, run.identity.peek, "1"),
+        (src, _OnIds(s_x, xids).peek, run.source.peek, "s"),
+        (tgt, _OnIds(t_x, xids).peek, run.target.peek, "t"),
     )
 
     for l in range(fd.max_level + 1):
-        for cell in cat.cells(l):
-            # the identity law below the top level, the boundary laws above level 0
-            for law, on_x, on_image, op in maps[l == fd.max_level : 3 if l else 1]:
-                law.checked += 1
+        cells = list(map(cell_id, cat.cells(l)))
+        # the identity law below the top level, the boundary laws above level 0
+        for law, on_x, on_image, op in maps[l == fd.max_level : 3 if l else 1]:
+            law.checked += len(cells)
+            for cell in cells:
                 lhs = image(on_x(cell))
                 rhs = on_image(image(cell)) if lhs.__class__ is int else lhs
                 if lhs != rhs or lhs.__class__ is not int:
-                    ctx = lambda: f"{name}({op}({x_render(cell)}))"
+                    ctx = lambda: f"{name}({op}({render(cell)}))"
                     run.settle(law, ctx, (lhs, rhs, "{} != {}"))
-            if l == 0:
-                continue
+        for cell in cells if l else ():  # the index bound above level 0
             bound.checked += 1
-            s, t = cell.spine[0]
-            head, hi, lo = index(cell.head), index(s), index(t)
+            h, s, t = keys[cell][:3]
+            head, hi, lo = index(h), index(s), index(t)
             if s == t:
                 ok, want = head == 0, "ind(head) = 0 on a degenerate top pair"
             else:
                 ok, want = 0 <= head < hi - lo, f"0 <= ind(head) < {hi}-{lo}"
             if not ok:
-                bound.fail(f"{x_render(cell)}: ind(head)={head}, want {want}")
+                bound.fail(f"{render(cell)}: ind(head)={head}, want {want}")
         for p in range(l):
-            for a, c in cat.pairs(l, p):
-                comp.checked += 1
-                lhs = image(cat.compose(p, a, c))
+            pairs = cat._pair_ids(l, p)  # the closure glued each of them
+            comp.checked += len(pairs)
+            for a, c in pairs:
+                lhs = image(composites[p, a, c])
                 rhs = image(a) if lhs.__class__ is int else lhs  # then image(c), if an id
                 if rhs.__class__ is int:
                     rhs = run.composite.peek((p, rhs, image(c)))
                 if lhs != rhs or lhs.__class__ is not int:
-                    ctx = lambda: f"{name}(C o_{p} A) for A={x_render(a)}, C={x_render(c)}"
+                    ctx = lambda: f"{name}(C o_{p} A) for A={render(a)}, C={render(c)}"
                     run.settle(comp, ctx, (lhs, rhs, "{} != {}"))
 
     return AxiomReport(tuple(law.entry() for law in (src, tgt, one, comp, bound)))

@@ -29,18 +29,15 @@ cell.  Composites (Seq-headed cells) are only enumerated on request, by
 closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  It
 hash-conses (axioms._Interned): each distinct label, and each cell as
-the tuple (head, s0, t0, s1, t1, ...) of its label ids, gets a dense int
-id.  The closure keeps one axioms.ChainIndex per depth over cell ids for
-all its rounds, each chain read off a key in C (so does pairs()), and
-fills the composite table, keyed (p, a, c) on cell ids; labels glue
-through the one gluing function, _glue_in, over the label-pair table
-keyed (u, v) on label ids (glue uses its own); the collector untracks
-those int tuples.  A cell is decoded to one cached XCell only where it
-leaves the instance, in cells() and compose(), which finds a cell the
-instance keeps by identity.  A third table, an axioms._Memo, maps a
-label to its normal form, for normalize.  All are per instance, as
-point_like reads the document.  compose, the one composition path
-(x_compose too), checks a miss's depth and chains once.
+its key (head, s0, t0, s1, t1, ...) of label ids, gets a dense int id.
+On ids: the closure (one axioms.ChainIndex per depth for all rounds,
+chains read off keys in C), the composite table keyed (p, a, c), the
+label-pair table keyed (u, v) of _glue_in, the one gluing function (glue
+uses its own), each (level, p)'s pair list, found once, and the law run
+and functor check (_on_ids).  A cell is decoded to one cached XCell only
+where it leaves: cells(), pairs(), compose() and witness text.  Memos map
+a label, or its id, to its normal form.  All tables are per instance, as
+point_like reads the document; the collector untracks their int tuples.
 """
 
 from __future__ import annotations
@@ -331,25 +328,33 @@ def x_identity(cell: XCell) -> XCell:
         raise _malformed(cell) from None
 
 
-def _chain_key(cell: XCell, p: int, side: int) -> tuple:
-    """(head, spine) of the depth-p s-chain (side 0) or t-chain (side 1):
-    x_source or x_target applied level - p times."""
-    spine = cell[1]
-    k = len(spine) - p
-    return spine[k - 1][side], spine[k:]
+def _key_face(side: int, key: tuple) -> tuple:
+    """_face on a cell key (head, s0, t0, s1, t1, ...) of label ids."""
+    if len(key) == 1:
+        raise NoSource(f"level-0 cells have no {('source', 'target')[side]}")
+    return (key[1 + side], *key[3:])
+
+
+def _decode(labels: list, keys: list, kept: dict, i: int) -> XCell:
+    """The XCell for cell id i, from its key; kept maps its id() back to i."""
+    it = map(labels.__getitem__, keys[i])
+    out = _new(XCell, (next(it), tuple(zip(it, it))))
+    kept[id(out)] = i
+    return out
 
 
 def _key_chains(keys: list, level: int, ids: list, p: int, side: int):
-    """_chain_key on the keys of level-level cell ids, in C: the label ids of
-    each chain (one id, not a tuple, at depth 0)."""
+    """The depth-p s-chains (side 0) or t-chains (side 1), x_source or
+    x_target applied level - p times, on the keys of level-level cell ids,
+    in C: the label ids of each chain (one id, not a tuple, at depth 0)."""
     m = 1 + 2 * (level - p)
     return map(itemgetter(m - 2 + side, *range(m, 1 + 2 * level)), map(keys.__getitem__, ids))
 
 
 def x_composable(p: int, a: XCell, c: XCell) -> bool:
-    _depth(p, _require_cell(a).level, _require_cell(c).level)
-    try:
-        return _chain_key(a, p, 1) == _chain_key(c, p, 0)
+    k = _depth(p, _require_cell(a).level, _require_cell(c).level) - p
+    try:  # the t-chain of a against the s-chain of c
+        return a[1][k - 1][1] == c[1][k - 1][0] and a[1][k:] == c[1][k:]
     except TypeError:
         raise _malformed(a, c) from None
 
@@ -391,10 +396,10 @@ class XCategory:
     """X behind the generic category interface.  With
     include_composites=True, cells() also carries every composite, which
     is what the axiom engine needs to test laws on glued cells.  Each
-    level is enumerated (and closed) once per instance; cells() hands
-    out copies so callers cannot change the cache.  compose() reads the
-    composite table the closure filled and splices only pairs not in it;
-    source, target, identity and render are the module's functions."""
+    level is enumerated (and closed) once per instance; cells() and
+    pairs() hand out copies so callers cannot change the cache.  compose()
+    is X's one composition path (x_compose's too), on cell ids; source,
+    target, identity and render are the module's functions."""
 
     def __init__(self, fd: FlowData, include_composites: bool = False):
         if not isinstance(fd, FlowData):
@@ -404,9 +409,12 @@ class XCategory:
         self._labels, self._ids = _Interned(), _Interned()  # label -> id, cell key -> id
         self._glued = {}  # (u, v) -> glue(u, v, fd) on label ids; per document, as point_like reads fd
         self._glue = partial(_glue_in, self._labels, self._glued, fd)  # no frame of its own
-        # (p, a, c) -> c o_p a on cell ids; cell id -> the XCell handed out for it; its id() -> cell id
-        self._composites, self._out, self._kept = {}, {}, {}
-        self._normal_forms = _Memo(partial(normalize, fd=fd))  # label -> its normal form; per document too
+        # (p, a, c) -> c o_p a on cell ids; an XCell's id() -> its cell id; (level, p) -> pairs on cell ids
+        self._composites, self._kept, self._pairs = {}, {}, {}
+        self._out = _Memo(partial(_decode, self._labels.key, self._ids.key, self._kept))  # id -> its XCell
+        self._normal_forms = nf = _Memo(partial(normalize, fd=fd))  # label -> its normal form, per document
+        labels = self._labels
+        self._normal_ids = _Memo(lambda u: labels[nf.peek(labels.key[u])])  # the same on label ids
 
     def cells(self, level: int) -> list:
         """All cells at the given level, sorted.  Above max_level there are
@@ -466,13 +474,16 @@ class XCategory:
                             seen.add(out)
                             fresh.append(out)
             frontier = fresh
-        return sorted(map(self._decode, seen))
+        return sorted(map(self._out.__getitem__, seen))
 
     def _cell_id(self, cell) -> int:
         """The id of a hashable cell, by identity or by value; the first XCell of an id is kept."""
         i = self._kept.get(id(cell))
         if i is None:
-            i = self._ids[tuple(map(self._labels.__getitem__, chain((cell[0],), *cell[1])))]
+            key = tuple(map(self._labels.__getitem__, chain((cell[0],), *cell[1])))
+            if len(key) != 1 + 2 * len(cell[1]):
+                raise TypeError  # a spine entry that is no pair: the caller's malformed cell
+            i = self._ids[key]
             if cell.__class__ is XCell and i not in self._out:  # _out keeps it, so its id() stays its own
                 self._out[i], self._kept[id(cell)] = cell, i
         return i
@@ -485,22 +496,39 @@ class XCategory:
             return self._ids[(self._glue(ka[0], kc[0]), ka[1], kc[2], *ka[3:])]
         return self._ids[(*map(self._glue, ka[:n], kc), ka[n], kc[n + 1], *ka[n + 2 :])]
 
-    def _decode(self, i: int) -> XCell:
-        """The XCell this instance hands out for cell id i."""
-        out = self._out.get(i)
-        if out is None:
-            labels = map(self._labels.key.__getitem__, self._ids.key[i])
-            out = self._out[i] = _new(XCell, (next(labels), tuple(zip(labels, labels))))
-            self._kept[id(out)] = i
-        return out
-
     def pairs(self, level: int, p: int) -> list:
-        """x_composable_pairs over this instance's cells, found on their ids: cells() hands out kept cells."""
+        """x_composable_pairs over this instance's cells: a new list of the cells cells() hands out."""
+        return [(self._out[a], self._out[c]) for a, c in self._pair_ids(level, p)]
+
+    def _pair_ids(self, level: int, p: int) -> list:
+        """The composable pairs of cells(level) at depth p on cell ids, listed once per instance."""
         cells = self.cells(level)
-        if cells:
-            _depth(p, level, level)
-        out, chains = self._out, partial(_key_chains, self._ids.key, level)
-        return [(out[a], out[c]) for a, c in composable_pairs(chains, p, list(map(self._cell_id, cells)))]
+        if cells and _depth(p, level, level) and (level, p) not in self._pairs:  # _depth: level or raise
+            chains = partial(_key_chains, self._ids.key, level)
+            self._pairs[level, p] = list(composable_pairs(chains, p, list(map(self._cell_id, cells))))
+        return self._pairs[level, p] if cells else []
+
+    def _on_ids(self, own_only: bool = True):
+        """For a law run or the functor check: the cell interner, a cell's id, the decoder, source,
+        target, identity and normalize on keys, compose on ids and the composite table; with
+        own_only, None if a subclass, the class or the instance overrides the protocol."""
+        if own_only and (type(self) is not XCategory or vars(self).keys() & _OWN
+                         or any(XCategory.__dict__[m] is not f for m, f in _OWN.items())):
+            return None
+        labels, normal = self._labels, self._normal_ids.peek
+        identity = lambda k: (labels[_new(Pt, (1, labels.key[k[0]]))], k[0], k[0], *k[1:])
+        calls = partial(_key_face, 0), partial(_key_face, 1), identity, lambda k: tuple(map(normal, k))
+        return self._ids, self._cell_id, self._out, calls, self._compose_ids, self._composites
+
+    def _compose_ids(self, p: int, a: int, c: int) -> int:
+        """compose on cell ids: chains checked on the keys, then the composite table or an unstored splice."""
+        ka, kc = self._ids.key[a], self._ids.key[c]
+        k = 2 * (_depth(p, len(ka) // 2, len(kc) // 2) - p)
+        if ka[k] != kc[k - 1] or ka[k + 1 :] != kc[k + 1 :]:
+            ta, sc = (self._out[self._ids[(x[j], *x[k + 1 :])]] for x, j in ((ka, k), (kc, k - 1)))
+            raise NotComposable(p, f"t-chain {ta} != s-chain {sc}")
+        out = self._composites.get((p, a, c))
+        return self._splice(p, a, c) if out is None else out
 
     def level_of(self, cell) -> int:
         return _require_cell(cell).level
@@ -511,25 +539,11 @@ class XCategory:
     render = staticmethod(x_render)
 
     def compose(self, p, a, c):
-        """``c o_p a`` from the composite table on cell ids; a miss is checked and spliced, not stored."""
-        ia, ic = self._kept.get(id(a)), self._kept.get(id(c))
-        out = self._out.get(self._composites.get((p, ia, ic))) if p.__class__ is int else None  # no bool
-        if out is not None:
-            return out
+        """``c o_p a``: _compose_ids on the operands' ids, a kept cell's by identity, any other's by value."""
         if a.__class__ is not XCell or c.__class__ is not XCell:
             _require_cell(a), _require_cell(c)
         try:
-            if p.__class__ is int and None in (ia, ic):
-                hash((a, c))  # an unhashable cell is malformed before its depth is checked
-            sa, sc = a[1], c[1]
-            k = _depth(p, len(sa), len(sc)) - p  # the chains, as _chain_key gives them, compared in place
-            if sa[k - 1][1] != sc[k - 1][0] or sa[k:] != sc[k:]:
-                ta, sc = XCell(*_chain_key(a, p, 1)), XCell(*_chain_key(c, p, 0))
-                raise NotComposable(p, f"t-chain {ta} != s-chain {sc}")
-            if ia is None or ic is None:  # interned by value: an equal copy's composite may be in the table
-                ia, ic = self._cell_id(a), self._cell_id(c)
-                out = self._composites.get((p, ia, ic))
-            return self._decode(self._splice(p, ia, ic) if out is None else out)
+            return self._out[self._compose_ids(p, self._cell_id(a), self._cell_id(c))]
         except (TypeError, IndexError):
             raise _malformed(a, c) from None
 
@@ -543,3 +557,7 @@ class XCategory:
             return _new(XCell, (n(cell[0]), tuple([(n(s), n(t)) for s, t in cell[1]])))
         except TypeError:
             raise _malformed(cell) from None
+
+
+_OWN = {m: XCategory.__dict__[m] for m in ("cells", "level_of", "source", "target", "identity",
+                                             "compose", "normalize", "render")}  # the protocol

@@ -102,7 +102,7 @@ def test_every_composite_is_the_reference_composite():
     for l in range(TT3.max_level + 1):
         cat.cells(l)
     assert len(cat._composites) == 1096
-    cell = cat._decode  # the table holds cell ids
+    cell = cat._out.__getitem__  # the table holds cell ids, and _out decodes them
     for (p, a, c), out in cat._composites.items():
         assert cell(out) == reference_compose(TT3, p, cell(a), cell(c))
 

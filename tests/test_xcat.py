@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncat.axioms as axioms
 import ncat.xcat as xcat
 from ncat.axioms import check_axioms, check_globularity
 from ncat.cli import main as cli_main
@@ -983,6 +984,46 @@ def test_pairs_on_ids_are_the_brute_force_pairs_of_the_handed_out_cells(fd, clos
             brute = [(a, c) for a in cells for c in cells if x_composable(p, a, c)]
             got = cat.pairs(l, p)
             assert got == brute and {id(x) for pair in got for x in pair} <= handed
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["plain", "closed"])
+def test_pairs_are_listed_once_per_instance_and_handed_out_as_copies(monkeypatch, closed):
+    # one ChainIndex per (level, p) for every pairs() call on an instance, and
+    # a caller that changes the list it was handed changes no later one
+    cat = XCategory(chain_fd(4, 2), include_composites=closed)
+    cells = cat.cells(2)  # the closure's own indexes are built here
+    built, real_init = [], axioms.ChainIndex.__init__
+
+    def counted_init(self, chains, p):
+        built.append(p)
+        real_init(self, chains, p)
+
+    monkeypatch.setattr(axioms.ChainIndex, "__init__", counted_init)
+    first = cat.pairs(2, 1)
+    want = [(a, c) for a in cells for c in cells if x_composable(1, a, c)]
+    assert first == want
+    first.reverse()
+    first.append(first[0])
+    second = cat.pairs(2, 1)
+    assert second == want and second is not first and built == [1]
+    assert cat.pairs(2, 0) == [(a, c) for a in cells for c in cells if x_composable(0, a, c)]
+    assert built == [1, 0]
+
+
+@pytest.mark.parametrize("spine", ["triple", "single", "list"])
+def test_compose_names_a_malformed_spine_and_takes_a_list_spine(spine):
+    # each spine entry must be a pair; a list of pairs composes like its
+    # tuple twin, as in W
+    cat = XCategory(FD, include_composites=True)
+    a, c = cat.pairs(1, 0)[0]
+    (s, t), = a.spine
+    bad = {"triple": ((s, t, t),), "single": ((s,),), "list": [[s, t]]}[spine]
+    cell = XCell(a.head, bad)
+    if spine == "list":
+        assert cat.compose(0, cell, c) == cat.compose(0, a, c) == x_compose(FD, 0, cell, c)
+    else:
+        with pytest.raises(InvalidArguments, match="^malformed XCell: "):
+            cat.compose(0, cell, c)
 
 
 @pytest.mark.parametrize("fd", [FD, chain_fd(3, 2)], ids=["torus", "chain-3-2"])
