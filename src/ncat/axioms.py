@@ -278,7 +278,7 @@ class _Run:
     """One checking run on dense cell ids.
 
     ``ids`` interns what the tables hold and ``cell[i]`` is the cell with
-    id i.  The sampled cells of each level from ``low`` up (``sample``;
+    id i.  The sampled cells of each level not in [0, ``low``) (``sample``;
     every cell when ``samples`` is None), the pair lists and every law
     instance hold ids; a cell is rendered only for a witness.  Five tables
     (``_Memo``s over ``ids``) hold the id of what a category call returned,
@@ -287,9 +287,10 @@ class _Run:
     keyed by id.  Handed a stored error in place of an id, a table gives it
     back without a category call, so a chain of peeks stops at the first
     error, as raising calls do.  A law hands an instance that did not pass
-    to ``settle`` as those values.  An XCategory with its own protocol gives
-    its ids, calls on keys, compose on ids (``_IdComposites``, filled first
-    with what its closures composed) and ``cell``, its decoder.
+    to ``settle`` as those values.  An XCategory with its own protocol lends
+    its ids, level id lists, its four ``_OnIds`` (shared by its runs),
+    compose on ids (``_IdComposites``, filled first with what its closures
+    composed) and ``cell``, its decoder.
     """
 
     def __init__(self, cat, seed, samples, levels, low=0):
@@ -299,30 +300,29 @@ class _Run:
             raise InvalidArguments(f"samples must be non-negative, got {samples}")
         if samples is not None and samples >= sys.maxsize:  # caps nothing: no list is that long,
             samples = None  # and islice takes no larger stop
-        self.cat = cat
-        self.cap = samples
+        self.cat, self.cap = cat, samples
         if levels is None:
             levels = range(cat.max_level + 1)
-        self.levels = [l for l in levels if type(l) is not int or l >= low]  # cells() rejects a non-int
+        self.levels = [l for l in levels if not (type(l) is int and 0 <= l < low)]  # cells() checks the rest
         # the tables see ids and cat's methods, never self: a run is freed without the cycle collector
         own = getattr(type(cat), "_on_ids", lambda cat: None)(cat)  # an XCategory's calls on its ids
         if own is None:
             ids = _Interned()
-            intern, self.cell, composite = ids.__getitem__, ids.key, _Composites(cat.compose, ids)
-            calls = cat.source, cat.target, cat.identity, cat.normalize
+            self.cell, composite = ids.key, _Composites(cat.compose, ids)
+            tables = (_OnIds(f, ids) for f in (cat.source, cat.target, cat.identity, cat.normalize))
         else:
-            ids, intern, self.cell, calls, compose, known = own
+            ids, at, self.cell, tables, compose, known = own
             composite = _IdComposites(compose, ids)
         self.ids, self.composite = ids, composite
-        self.source, self.target, self.identity, self.normalize = (_OnIds(f, ids) for f in calls)
+        self.source, self.target, self.identity, self.normalize = tables
         rng = random.Random(seed)
         self.sample = {}
         for l in self.levels:
-            cells = list(cat.cells(l))
+            cells = at(l) if own else list(cat.cells(l))
             if samples is not None and len(cells) > samples:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
-            self.sample[l] = list(map(intern, cells))
+            self.sample[l] = cells if own else list(map(ids.__getitem__, cells))
         if own is not None:  # the composites X's closures glued, read with no call
             composite.update(known)
         self._pairs = {}
@@ -423,8 +423,8 @@ def check_axioms(cat, *, seed=0, samples=1000, levels=None) -> AxiomReport:
     The run gives every cell it meets a dense id and keeps one table per
     category call: each distinct (p, a, c) is composed once, and each
     distinct cell is handed to ``source``, ``target``, ``identity`` and
-    ``normalize`` once, or, on an XCategory with its own protocol, its key
-    to the instance's own calls on keys, which hash and build no XCell.  So
+    ``normalize`` once, or, on an XCategory with its own protocol, once per
+    instance, through its own tables on keys, which build no XCell.  So
     those calls must be deterministic in the values of their arguments: an
     equal result, or an error with the same message.  A cell whose chain
     walk raises while the pair lists are built is one comp-st witness and

@@ -8,17 +8,17 @@ point contributes 0, a gluing contributes the sum of its pieces — so
 normalization never changes an index, which is what makes G well defined
 on the almost strict structure.
 
-A check_functor_laws run walks X on X's own cell ids.  It reads each
-label's index from one axioms._Memo keyed on label ids, for all its
-images of G or F and its index bounds, so it computes each distinct
-label's index once; a second _Memo holds each distinct cell's image as
-an id of the receiving run.  A call of functor_g or functor_f computes
-its labels' indices directly.
+A check_functor_laws run walks X on X's own cell ids: each level's id
+list and X's face and identity tables.  It reads each label's index from
+one axioms._Memo keyed on label ids, for all its images of G or F and its
+index bounds, so it computes each distinct label's index once; a second
+_Memo holds each distinct cell's image as an id of the receiving run.  A
+call of functor_g or functor_f computes its labels' indices directly.
 """
 
 from __future__ import annotations
 
-from .axioms import AxiomReport, _Law, _Memo, _OnIds, _Run
+from .axioms import AxiomReport, _Law, _Memo, _Run
 from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, NCatError, UnknownAtom
 from .flowdata import FlowData
 from .vcat import VCategory, VCell
@@ -109,9 +109,8 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     as every axiom does: each distinct cell's image, and its boundaries,
     identity and composites there, are computed once (so the functor must
     be deterministic per cell), and only a failing instance reaches settle.
-    X is walked on its own ids (XCategory._on_ids), composites read from
-    its closure's table and images from keys through the index table; an
-    XCell is decoded only for text or for a functor put in place of G or F.
+    X is walked on its own ids and tables (XCategory._on_ids), images read
+    from keys; an XCell is decoded only for text or for another functor.
     """
     if target == "g":
         name, functor, tcat = "G", functor_g, WCategory()
@@ -122,7 +121,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     env = ind_env(fd)
     through = _THROUGH.get(functor)  # None for a functor put in place of G or F
     cat = XCategory(fd, include_composites=True)
-    xids, cell_id, decode, (s_x, t_x, one_x, _), _, composites = cat._on_ids(own_only=False)
+    xids, level_ids, decode, (s_x, t_x, one_x, _), _, composites = cat._on_ids(own_only=False)
     run, keys, labels = _Run(tcat, 0, None, ()), xids.key, cat._labels.key
     ids, render = run.ids, lambda i: x_render(decode[i])
     index = _Memo(lambda u: ind(labels[u], env)).peek  # ind of label id u, each label's once per run
@@ -137,18 +136,14 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
             return e
 
     image = _Memo(image_id).peek
-    src, tgt, one, comp = (
-        _Law(f"functor-{target}-{law}") for law in ("source", "target", "identity", "compose")
-    )
+    src, tgt, one, comp = (_Law(f"functor-{target}-{law}")
+                           for law in ("source", "target", "identity", "compose"))
     bound = _Law("index-bound")
-    maps = (
-        (one, _OnIds(one_x, xids).peek, run.identity.peek, "1"),
-        (src, _OnIds(s_x, xids).peek, run.source.peek, "s"),
-        (tgt, _OnIds(t_x, xids).peek, run.target.peek, "t"),
-    )
+    maps = ((one, one_x.peek, run.identity.peek, "1"), (src, s_x.peek, run.source.peek, "s"),
+            (tgt, t_x.peek, run.target.peek, "t"))
 
     for l in range(fd.max_level + 1):
-        cells = list(map(cell_id, cat.cells(l)))
+        cells = level_ids(l)
         # the identity law below the top level, the boundary laws above level 0
         for law, on_x, on_image, op in maps[l == fd.max_level : 3 if l else 1]:
             law.checked += len(cells)

@@ -30,14 +30,17 @@ closing under composition.  Each instance builds a level, and its
 closure, once, from its cached level below; x_cells reads a new one.  It
 hash-conses (axioms._Interned): each distinct label, and each cell as
 its key (head, s0, t0, s1, t1, ...) of label ids, gets a dense int id.
-On ids: the closure (one axioms.ChainIndex per depth for all rounds,
+On ids: the closed levels, in cells() order (sorted on their keys' label
+values), the closure (one axioms.ChainIndex per depth for all rounds,
 chains read off keys in C), the composite table keyed (p, a, c), the
 label-pair table keyed (u, v) of _glue_in, the one gluing function (glue
-uses its own), each (level, p)'s pair list, found once, and the law run
-and functor check (_on_ids).  A cell is decoded to one cached XCell only
-where it leaves: cells(), pairs(), compose() and witness text.  Memos map
-a label, or its id, to its normal form.  All tables are per instance, as
-point_like reads the document; the collector untracks their int tuples.
+uses its own), each (level, p)'s pair list, and the face, identity and
+normal-form tables (axioms._OnIds) that every law run and functor check
+on the instance shares (_on_ids).  Plain cells are built as XCells and
+kept, and interned only where ids are asked for; any other cell is
+decoded to one cached XCell only where it leaves: cells(), pairs(),
+compose() and witness text.  All tables are per instance, as point_like
+reads the document; the collector untracks their int tuples.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .axioms import ChainIndex, _depth, _Interned, _Memo, composable_pairs
+from .axioms import ChainIndex, _depth, _Interned, _Memo, _OnIds, composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -387,8 +390,7 @@ def x_cells(fd: FlowData, level: int, include_composites: bool = False) -> list:
 
 
 def x_composable_pairs(fd: FlowData, level: int, p: int, include_composites: bool = False) -> list:
-    """Ordered pairs (inner, outer) among the level's cells, ready for
-    x_compose at depth p."""
+    """XCategory(fd, include_composites).pairs(level, p): pairs (inner, outer) for x_compose at p."""
     return XCategory(fd, include_composites).pairs(level, p)
 
 
@@ -405,31 +407,39 @@ class XCategory:
         if not isinstance(fd, FlowData):
             raise InvalidArguments(f"expected a FlowData, got {fd!r}")
         self.fd, self.max_level, self.include_composites = fd, fd.max_level, include_composites
-        self._cells = {}
-        self._labels, self._ids = _Interned(), _Interned()  # label -> id, cell key -> id
+        self._cells = {}  # (level, False) -> plain XCells, (level, True) -> closed ids; cells() order
+        self._labels, self._ids = labels, ids = _Interned(), _Interned()  # label -> id, cell key -> id
         self._glued = {}  # (u, v) -> glue(u, v, fd) on label ids; per document, as point_like reads fd
-        self._glue = partial(_glue_in, self._labels, self._glued, fd)  # no frame of its own
+        self._glue = partial(_glue_in, labels, self._glued, fd)  # no frame of its own
         # (p, a, c) -> c o_p a on cell ids; an XCell's id() -> its cell id; (level, p) -> pairs on cell ids
         self._composites, self._kept, self._pairs = {}, {}, {}
-        self._out = _Memo(partial(_decode, self._labels.key, self._ids.key, self._kept))  # id -> its XCell
+        self._out = _Memo(partial(_decode, labels.key, ids.key, self._kept))  # id -> its XCell
         self._normal_forms = nf = _Memo(partial(normalize, fd=fd))  # label -> its normal form, per document
-        labels = self._labels
-        self._normal_ids = _Memo(lambda u: labels[nf.peek(labels.key[u])])  # the same on label ids
+        normal = _Memo(lambda u: labels[nf.peek(labels.key[u])]).peek  # the same on label ids
+        identity = lambda k: (labels[_new(Pt, (1, labels.key[k[0]]))], k[0], k[0], *k[1:])
+        calls = partial(_key_face, 0), partial(_key_face, 1), identity, lambda k: tuple(map(normal, k))
+        self._on_keys = tuple(_OnIds(f, ids) for f in calls)  # id -> each call's id, or its NoSource
 
     def cells(self, level: int) -> list:
-        """All cells at the given level, sorted.  Above max_level there are
-        none (the diagonal tower is not materialized); a warning says so."""
+        """All cells at the given level, sorted; above max_level none (no diagonal tower), and a warning."""
+        return self._at(level, ids=False)
+
+    def _at(self, level: int, ids: bool = True) -> list:
+        """The ids of cells(level) in its order, a closed level's own list; with ids=False, cells(level)."""
         if type(level) is not int:  # a bool is no level, as in the parser
             raise InvalidArguments(f"level must be an integer, got {level!r}")
         if level < 0:
             raise InvalidArguments("level must be non-negative")
         if level > self.max_level:
-            warnings.warn(f"no cells above level {self.max_level} in {self.fd.name!r}", stacklevel=2)
+            warnings.warn(f"no cells above level {self.max_level} in {self.fd.name!r}", stacklevel=3)
             return []
-        return list(self._level(level, self.include_composites))
+        cells = self._level(level, self.include_composites)
+        if self.include_composites:
+            return cells if ids else list(map(self._out.__getitem__, cells))
+        return list(map(self._cell_id, cells) if ids else cells)
 
     def _level(self, level: int, closed: bool) -> list:
-        """Plain level l, built from plain level l - 1, or its closure; cached."""
+        """Plain level l as XCells, built from plain level l - 1, or the ids of its closure; cached."""
         key = (level, closed)
         if key not in self._cells:
             fd = self.fd
@@ -451,13 +461,11 @@ class XCategory:
         return self._cells[key]
 
     def _close_under_composition(self, level: int, cells: list) -> list:
-        """Semi-naive fixpoint on cell ids: each round composes only the pairs
-        with a cell that the previous round added (the frontier), into the
-        composite table, so each composable pair of the closed set is spliced
-        once.  Each depth keeps one ChainIndex for every round, so each cell's
-        chains are computed once: a round adds the frontier to it, then
-        composes the frontier, as inner cells, with every cell added so far,
-        and the cells added before it with the frontier."""
+        """Semi-naive fixpoint on cell ids, into the composite table: a round
+        adds the frontier (the cells the last round added) to each depth's one
+        ChainIndex, then composes it, as inner cells, with every cell added so
+        far, and the cells added before it with it, so each cell's chains are
+        computed once and each composable pair is spliced once."""
         composites, splice = self._composites, self._splice
         frontier = [self._cell_id(x) for x in cells]  # kept, so handed out as they are
         seen = set(frontier)
@@ -474,7 +482,8 @@ class XCategory:
                             seen.add(out)
                             fresh.append(out)
             frontier = fresh
-        return sorted(map(self._out.__getitem__, seen))
+        label, keys = self._labels.key.__getitem__, self._ids.key  # cells() order: by label values
+        return sorted(seen, key=lambda i: tuple(map(label, keys[i])))
 
     def _cell_id(self, cell) -> int:
         """The id of a hashable cell, by identity or by value; the first XCell of an id is kept."""
@@ -502,23 +511,19 @@ class XCategory:
 
     def _pair_ids(self, level: int, p: int) -> list:
         """The composable pairs of cells(level) at depth p on cell ids, listed once per instance."""
-        cells = self.cells(level)
+        cells = self._at(level)
         if cells and _depth(p, level, level) and (level, p) not in self._pairs:  # _depth: level or raise
-            chains = partial(_key_chains, self._ids.key, level)
-            self._pairs[level, p] = list(composable_pairs(chains, p, list(map(self._cell_id, cells))))
+            self._pairs[level, p] = [*composable_pairs(partial(_key_chains, self._ids.key, level), p, cells)]
         return self._pairs[level, p] if cells else []
 
     def _on_ids(self, own_only: bool = True):
-        """For a law run or the functor check: the cell interner, a cell's id, the decoder, source,
-        target, identity and normalize on keys, compose on ids and the composite table; with
-        own_only, None if a subclass, the class or the instance overrides the protocol."""
+        """For a law run or the functor check: the cell interner, each level's ids, the decoder, the
+        source, target, identity and normal-form tables, compose on ids and the composite table;
+        with own_only, None if a subclass, the class or the instance overrides the protocol."""
         if own_only and (type(self) is not XCategory or vars(self).keys() & _OWN
                          or any(XCategory.__dict__[m] is not f for m, f in _OWN.items())):
             return None
-        labels, normal = self._labels, self._normal_ids.peek
-        identity = lambda k: (labels[_new(Pt, (1, labels.key[k[0]]))], k[0], k[0], *k[1:])
-        calls = partial(_key_face, 0), partial(_key_face, 1), identity, lambda k: tuple(map(normal, k))
-        return self._ids, self._cell_id, self._out, calls, self._compose_ids, self._composites
+        return self._ids, self._at, self._out, self._on_keys, self._compose_ids, self._composites
 
     def _compose_ids(self, p: int, a: int, c: int) -> int:
         """compose on cell ids: chains checked on the keys, then the composite table or an unstored splice."""

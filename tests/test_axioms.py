@@ -420,6 +420,23 @@ def test_non_int_level_is_invalid_arguments(cat, bad):
         check_globularity(cat, levels=[bad])
 
 
+@pytest.mark.parametrize(
+    "cat",
+    [lambda: WCategory(max_level=2, bound=2), lambda: VCategory(max_level=2, bound=2),
+     lambda: XCategory(torus_flow_data(), include_composites=True)],
+    ids=["w", "v", "x"],
+)
+def test_a_negative_level_raises_the_categorys_own_error(cat):
+    # the level filter used to drop -1, so both checks passed with every count 0
+    with pytest.raises(InvalidArguments) as want:
+        cat().cells(-1)
+    for check in (check_axioms, check_globularity):
+        with pytest.raises(InvalidArguments) as got:
+            check(cat(), levels=[-1])
+        assert str(got.value) == str(want.value)
+    assert all(e.checked == 0 for e in check_globularity(cat(), levels=[0, 1]).entries)
+
+
 def test_unknown_axiom_entry_is_invalid_arguments():
     report = check_axioms(WCategory(max_level=1, bound=2))
     assert report.entry("assoc").axiom == "assoc"

@@ -5,15 +5,21 @@ A law run on an XCategory that overrides none of the protocol reads the
 instance's cell ids and its calls on cell keys (XCategory._on_ids); on any
 other category it interns the cells itself and calls their methods.  The
 tests here hold the two paths to equal reports, witnesses included, and
-check that an override is called."""
+check that an override is called.  They also hold the id path to its
+contract: closed levels are id lists in cells() order, a passing check
+decodes no cell, and the face tables live on the instance without keeping
+it from being freed."""
 
+import gc
 import json
+import weakref
+from collections import Counter
 
 import pytest
 
-from ncat import functors
+from ncat import functors, xcat
 from ncat.axioms import AxiomReport, _Law, _Memo, _Run, check_axioms, check_globularity
-from ncat.errors import NCatError
+from ncat.errors import InvalidArguments, NCatError, NoSource
 from ncat.families import tilted_torus
 from ncat.flowdata import parse_flow_data
 from ncat.functors import check_functor_laws, functor_f, functor_g, ind, ind_env
@@ -187,3 +193,83 @@ def test_an_instance_attribute_takes_the_generic_path():
     report = x_laws(poisoned(cat), None)
     assert not report.passed and calls  # witness text through the instance's render
     assert report == x_laws(poisoned(XCategory(fd, True)), None)
+
+
+CLOSED = {"chain-4-2": lambda: doc(chain_document(4, 2)), "tilted-torus-3": DOCS["tilted-torus-3"]}
+
+
+def counted(monkeypatch, name):
+    """The calls of xcat's function name, each one's arguments, from every
+    XCategory built after this."""
+    calls, real = [], getattr(xcat, name)
+    monkeypatch.setattr(xcat, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_closure_and_passing_checks_decode_no_cell(monkeypatch, name):
+    # only a cell that leaves the instance is decoded: the closure sorts ids
+    # on label values, and the checks read ids, keys and tables
+    decoded = counted(monkeypatch, "_decode")
+    fd = CLOSED[name]()
+    cat = XCategory(fd, True)
+    for l in range(fd.max_level + 1):
+        cat._level(l, True)
+    assert decoded == []
+    assert check_globularity(cat).passed and check_axioms(cat, samples=None).passed
+    assert check_functor_laws(fd, "g").passed and check_functor_laws(fd, "f").passed
+    assert decoded == []
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_closed_levels_are_sorted_and_the_generic_path_sees_them_in_that_order(name):
+    fd = CLOSED[name]()
+    cat, generic = XCategory(fd, True), PassThrough(XCategory(fd, True))
+    for l in range(fd.max_level + 1):
+        cells = cat.cells(l)
+        assert cells == sorted(cells) == generic.cells(l) and len(set(cells)) == len(cells)
+        on_ids, on_cells = _Run(cat, 0, None, [l]), _Run(generic, 0, None, [l])
+        assert [on_ids.cell[i] for i in on_ids.sample[l]] == cells
+        assert [on_cells.cell[i] for i in on_cells.sample[l]] == cells
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["plain", "closed"])
+def test_pairs_keep_their_answers_for_bad_arguments(closed):
+    cat = XCategory(DOCS["chain-3-2"](), closed)  # max_level 2
+    for level, p, text in [(1, 1, "depth p=1 out of range for level 1"),
+                           (True, 0, "level must be an integer, got True"),
+                           (-1, 0, "level must be non-negative")]:
+        with pytest.raises(InvalidArguments, match=f"^{text}$"):
+            cat.pairs(level, p)
+    with pytest.warns(UserWarning, match="no cells above level 2"):
+        assert cat.pairs(3, 0) == []
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_globularity_then_axioms_compute_each_face_once(monkeypatch, name):
+    # the source and target tables live on the instance, so the second
+    # check reads the faces the first one computed
+    faces = counted(monkeypatch, "_key_face")
+    fd = CLOSED[name]()
+    cat = XCategory(fd, True)
+    got = check_globularity(cat), check_axioms(cat, samples=None)
+    assert faces and max(Counter(faces).values()) == 1
+    monkeypatch.undo()
+    assert got == (check_globularity(XCategory(fd, True)), check_axioms(XCategory(fd, True), samples=None))
+
+
+def test_an_instance_with_filled_tables_is_freed_without_the_collector():
+    # the tables that live as long as the instance hold no reference to it,
+    # a stored NoSource's traceback included
+    fd = DOCS["chain-3-2"]()
+    cat = XCategory(fd, True)
+    alive = weakref.ref(cat)
+    gc.disable()
+    try:
+        assert check_globularity(cat).passed and check_axioms(cat, samples=None).passed
+        run = _Run(cat, 0, None, ())
+        assert isinstance(run.source.peek(cat._cell_id(cat.cells(0)[0])), NoSource)
+        del run, cat
+        assert alive() is None
+    finally:
+        gc.enable()
