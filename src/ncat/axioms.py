@@ -290,10 +290,10 @@ class _Run:
     to ``settle`` as those values.  An XCategory with its own protocol lends
     its ids, level id lists, its four ``_OnIds`` (shared by its runs),
     compose on ids (``_IdComposites``, filled first with what its closures
-    composed) and ``cell``, its decoder.
+    composed, unless the run ``composes`` nothing) and ``cell``, its decoder.
     """
 
-    def __init__(self, cat, seed, samples, levels, low=0):
+    def __init__(self, cat, seed, samples, levels, low=0, composes=True):
         if samples is not None and type(samples) is not int:  # a bool is no count
             raise InvalidArguments(f"samples must be an integer or None, got {samples!r}")
         if samples is not None and samples < 0:
@@ -323,7 +323,7 @@ class _Run:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
             self.sample[l] = cells if own else list(map(ids.__getitem__, cells))
-        if own is not None:  # the composites X's closures glued, read with no call
+        if own is not None and composes:  # the composites X's closures glued, read with no call
             composite.update(known)
         self._pairs = {}
         self.keys = {}  # (l, p) -> {id: (s-chain, t-chain)} of the cells in pairs(l, p)
@@ -398,7 +398,7 @@ class _Run:
 
 def check_globularity(cat, levels=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
-    run = _Run(cat, 0, None, levels, low=2)
+    run = _Run(cat, 0, None, levels, low=2, composes=False)
     s, t = run.source.peek, run.target.peek
     laws = ((_Law("globular-ss"), s), (_Law("globular-ts"), t))
     for l in run.levels:

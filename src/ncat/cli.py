@@ -20,10 +20,10 @@ import sys
 from .axioms import check_axioms, check_globularity
 from .errors import FlowDataInconsistent, NCatError
 from .flowdata import parse_flow_data, validate_flow_data
-from .functors import functor_f, functor_g, ind_env
+from .functors import _rendered_images
 from .torus import torus_document, torus_expected, torus_flow_data
-from .vcat import VCategory, v_render
-from .wcat import WCategory, w_render
+from .vcat import VCategory
+from .wcat import WCategory
 from .xcat import XCategory, x_render
 
 SCHEMA_VERSION = 1
@@ -163,33 +163,20 @@ def cmd_functor(args) -> int:
     fd = _load_valid(args, head, "applying the functor")
     if fd is None:
         return 1
-    env = ind_env(fd)
-    apply = functor_g if args.target == "g" else functor_f
-    render = w_render if args.target == "g" else v_render
-    x = XCategory(fd)
-    top = min(args.level, fd.max_level)
-    rows = []
-    failures = []
+    image, x = _rendered_images(fd, args.target), XCategory(fd)  # each distinct image rendered once
+    top, rows, failures = min(args.level, fd.max_level), [], []
     for l in range(top + 1):
         for cell in x.cells(l):
+            name = x_render(cell)
             try:
-                rows.append((x_render(cell), render(apply(cell, env))))
+                rows.append((name, image(cell, name)))
             except FlowDataInconsistent as e:
                 failures.append(str(e))
     lines = [f"functor {args.target.upper()} on {fd.name}, levels 0..{top}"]
     lines.extend(f"  {cell} -> {img}" for cell, img in rows)
     lines.extend(f"  INCONSISTENT  {msg}" for msg in failures)
-    _emit(
-        {
-            "command": "functor",
-            "target": args.target,
-            "name": fd.name,
-            "images": [{"cell": c, "image": i} for c, i in rows],
-            "failures": failures,
-        },
-        args,
-        lines,
-    )
+    images = [{"cell": c, "image": i} for c, i in rows]
+    _emit({**head, "name": fd.name, "images": images, "failures": failures}, args, lines)
     return 0 if not failures else 1
 
 
@@ -197,13 +184,11 @@ def cmd_torus(args) -> int:
     if args.emit:
         print(json.dumps(torus_document(), indent=2))
         return 0
-    fd = torus_flow_data()
-    exp = torus_expected()
-    env = ind_env(fd)
-    x = XCategory(fd)
+    fd, exp = torus_flow_data(), torus_expected()
+    x, image = XCategory(fd), _rendered_images(fd, "g")
     levels = [x.cells(l) for l in range(fd.max_level + 1)]
     counts = {l: len(cells) for l, cells in enumerate(levels)}
-    table = {x_render(c): w_render(functor_g(c, env)) for cells in levels for c in cells}
+    table = {name: image(c, name) for cells in levels for c in cells for name in (x_render(c),)}
     problems = []
     if counts != exp.counts:
         problems.append(f"cell counts {counts} != expected {exp.counts}")

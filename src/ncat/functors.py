@@ -10,19 +10,23 @@ on the almost strict structure.
 
 A check_functor_laws run walks X on X's own cell ids: each level's id
 list and X's face and identity tables.  It reads each label's index from
-one axioms._Memo keyed on label ids, for all its images of G or F and its
-index bounds, so it computes each distinct label's index once; a second
-_Memo holds each distinct cell's image as an id of the receiving run.  A
-call of functor_g or functor_f computes its labels' indices directly.
+one axioms._Memo keyed on label ids, and each distinct cell's image, as an
+id of the receiving run, from a second _Memo over an image table: G and F
+read only the cell's label indices, so the table builds and checks one
+image per index tuple (ind(head), ind(s0), ind(t0), ...), a point of the
+image, whose cells are its fibre.  The functor and torus commands map
+cells through one too.  functor_g and functor_f compute indices directly.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .axioms import AxiomReport, _Law, _Memo, _Run
 from .errors import ConstraintViolation, FlowDataInconsistent, InvalidArguments, NCatError, UnknownAtom
 from .flowdata import FlowData
-from .vcat import VCategory, VCell
-from .wcat import WCategory, w_make
+from .vcat import VCategory, VCell, v_render
+from .wcat import WCategory, w_make, w_render
 from .xcat import Atom, Pt, Seq, XCategory, XCell, _malformed, _not_a_label, x_render
 
 __all__ = ["ind_env", "ind", "functor_g", "functor_f", "check_functor_laws"]
@@ -100,6 +104,28 @@ def _f(cell, index, render=x_render) -> VCell:
         raise FlowDataInconsistent(f"F({render(cell)}) is not a valid cell: {e}") from e
 
 
+def _image_table(through, wrap, index):
+    """image(labels, render): wrap(through's image of the cell whose labels (head, s0, t0, ...) are
+    labels), built once per tuple of index(label)s.  An image that raises is not kept: each cell on
+    its tuple raises anew, and its FlowDataInconsistent names it by render(cell)."""
+    table = {}
+
+    def image(labels, render):
+        out = table.get(key := tuple(map(index, labels)))
+        if out is None:
+            k = iter(key)  # the cell (head, spine) on its labels' indices
+            out = table[key] = wrap(through((next(k), tuple(zip(k, k))), _same, render))
+        return out
+    return image
+
+
+def _rendered_images(fd: FlowData, target: str):
+    """image(cell, name): the rendered G or F image of the XCell named name, for the CLI."""
+    env, index = ind_env(fd), lambda label: ind(label, env)
+    image = _image_table(*((_g, w_render) if target == "g" else (_f, v_render)), _Memo(index).peek)
+    return lambda cell, name: image(chain((cell[0],), *cell[1]), lambda _: name)
+
+
 def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     """Functoriality of G (or F) over the document's cells and all their
     composites, plus the head-index bound that makes the image land where
@@ -125,13 +151,13 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     run, keys, labels = _Run(tcat, 0, None, ()), xids.key, cat._labels.key
     ids, render = run.ids, lambda i: x_render(decode[i])
     index = _Memo(lambda u: ind(labels[u], env)).peek  # ind of label id u, each label's once per run
+    table = _image_table(through, ids.__getitem__, index)  # index tuple -> the image's id in run
 
     def image_id(i):  # the id in run of cell i's image, or the NCatError raised
         try:
             if through is None:
                 return ids[functor(decode[i], env)]
-            k = iter(keys[i])  # the cell as (head, spine) on label ids
-            return ids[through((next(k), tuple(zip(k, k))), index, lambda _: render(i))]
+            return table(keys[i], lambda _: render(i))
         except NCatError as e:
             return e
 
@@ -178,6 +204,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     return AxiomReport(tuple(law.entry() for law in (src, tgt, one, comp, bound)))
 
 
-# G and F as a check run calls them, on its index table; a functor put in
-# their place is called as functor(cell, env)
+# G and F as a check run calls them, through its image table; a functor put
+# in their place is called as functor(cell, env)
 _THROUGH = {functor_g: _g, functor_f: _f}
+_same = lambda n: n  # index of a label of an image table's cell, which is its index already

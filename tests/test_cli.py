@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from ncat.cli import main
+from ncat.errors import FlowDataInconsistent
 from ncat.families import tilted_torus
+from ncat.flowdata import parse_flow_data
+from ncat.functors import functor_f, functor_g, ind_env
+from ncat.vcat import v_render
+from ncat.wcat import w_render
+from ncat.xcat import XCategory, x_render
 
 from oracles import chain_document
 
@@ -369,6 +375,10 @@ HASH_SEED_RUNS = [
     ("axioms --category x --samples 7 --seed 3 --format json", "chain-4-2"),
     ("build --level 3", "tilted-torus-3"),
     ("axioms --category x --level 3 --format json", "tilted-torus-3"),
+    ("functor --target g", "chain-4-2"),
+    ("functor --target f", "chain-4-2"),
+    ("functor --target g --level 3", "tilted-torus-3"),
+    ("functor --target f --level 3", "tilted-torus-3"),
 ]
 
 
@@ -381,6 +391,41 @@ def test_output_does_not_depend_on_the_hash_seed(seed_documents, args, doc):
     ]
     assert [o.returncode for o in outs] == [0, 0], outs[0].stderr
     assert outs[0].stdout == outs[1].stdout
+
+
+def functor_reference(fd, target, level, fmt):
+    """`functor` output built cell by cell from functor_g or functor_f."""
+    env, top, rows, failures = ind_env(fd), min(level, fd.max_level), [], []
+    apply, render = (functor_g, w_render) if target == "g" else (functor_f, v_render)
+    x = XCategory(fd)
+    for l in range(top + 1):
+        for cell in x.cells(l):
+            try:
+                rows.append((x_render(cell), render(apply(cell, env))))
+            except FlowDataInconsistent as e:
+                failures.append(str(e))
+    if fmt == "json":
+        doc = {"schema": 1, "command": "functor", "target": target, "name": fd.name,
+               "images": [{"cell": c, "image": i} for c, i in rows], "failures": failures}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"functor {target.upper()} on {fd.name}, levels 0..{top}"]
+    lines += [f"  {c} -> {i}" for c, i in rows] + [f"  INCONSISTENT  {m}" for m in failures]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("target", ["g", "f"])
+@pytest.mark.parametrize("doc, level", [("torus", 2), ("chain-4-2", 2), ("tilted-torus-3", 3)])
+def test_functor_output_equals_the_per_cell_images(capsys, seed_documents, doc, level, target, fmt):
+    # the command maps cells through an image table on index tuples and
+    # renders each image once; the output is still each cell's own image
+    path = seed_documents[doc]
+    with open(path, encoding="utf-8") as fh:
+        fd = parse_flow_data(fh.read())
+    assert main(["functor", path, "--target", target, "--level", str(level), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out == functor_reference(fd, target, level, fmt)
+    assert len(out.splitlines()) > 10
 
 
 @pytest.fixture(scope="module")

@@ -149,6 +149,66 @@ def test_overweight_functor_witnesses(target):
     }
 
 
+def twin_overweight_document():
+    """overweight with a second point of index 5 on the same space: two
+    cells with one index tuple, whose image raises."""
+    doc = overweight_document()
+    doc["moduli"][0]["critical_points"].append({"id": "ab2", "index": 5, "component": "c"})
+    return doc
+
+
+@pytest.mark.parametrize("target", ["g", "f"])
+def test_each_raising_image_names_its_own_cell(target):
+    # an image that raises is not kept by the image table, so the second
+    # cell on the same index tuple gets a witness naming itself
+    fd = parse_flow_data(json.dumps(twin_overweight_document()))
+    report = check_functor_laws(fd, target)
+    name = target.upper()
+    bad = "level 0: entry above level 0 must be < i_0-j_0=1, got 5"
+    assert {e.axiom: (e.checked, [f.detail for f in e.failures]) for e in report.entries} == {
+        f"functor-{target}-source": (2, [
+            f"{name}(s(({p}; a->b))): raised {name}(({p}; a->b)) is not a valid cell: {bad}"
+            for p in ("ab", "ab2")
+        ]),
+        f"functor-{target}-target": (2, [
+            f"{name}(t(({p}; a->b))): raised {name}(({p}; a->b)) is not a valid cell: {bad}"
+            for p in ("ab", "ab2")
+        ]),
+        f"functor-{target}-identity": (2, []),
+        f"functor-{target}-compose": (0, []),
+        "index-bound": (2, [f"({p}; a->b): ind(head)=5, want 0 <= ind(head) < 1-0" for p in ("ab", "ab2")]),
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [lambda: FD, lambda: parse_flow_data(json.dumps(chain_document(4, 2))),
+     lambda: parse_flow_data(json.dumps(tilted_torus(3)))],
+    ids=["torus", "chain-4-2", "tilted-torus-3"],
+)
+@pytest.mark.parametrize("target, name", [("g", "functor_g"), ("f", "functor_f")])
+def test_each_index_tuple_is_imaged_once(monkeypatch, doc, target, name):
+    fd = doc()
+    real = getattr(functors, name)
+    monkeypatch.setattr(functors, name, lambda cell, env: real(cell, env))  # no image table: per cell
+    want = check_functor_laws(fd, target)
+    monkeypatch.undo()
+    through, built = functors._THROUGH[real], Counter()
+
+    def counting(cell, index, render):  # cell is (head, spine) on its labels' indices
+        built[cell] += 1
+        return through(cell, index, render)
+
+    monkeypatch.setitem(functors._THROUGH, real, counting)
+    report = check_functor_laws(fd, target)
+    assert report.passed and report.to_dict() == want.to_dict()
+    assert set(built.values()) == {1}
+    env, cat = ind_env(fd), XCategory(fd, include_composites=True)
+    cells = [c for l in range(fd.max_level + 1) for c in cat.cells(l)]
+    tuples = {(ind(c.head, env), tuple((ind(s, env), ind(t, env)) for s, t in c.spine)) for c in cells}
+    assert tuples <= set(built) and len(tuples) < len(cells)
+
+
 @pytest.mark.parametrize("target, name", [("g", "functor_g"), ("f", "functor_f")])
 def test_each_image_is_computed_once(monkeypatch, target, name):
     want = check_functor_laws(FD, target)

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from ncat import functors, xcat
+from ncat import axioms, functors, xcat
 from ncat.axioms import AxiomReport, _Law, _Memo, _Run, check_axioms, check_globularity
 from ncat.errors import InvalidArguments, NCatError, NoSource
 from ncat.families import tilted_torus
@@ -256,6 +256,29 @@ def test_globularity_then_axioms_compute_each_face_once(monkeypatch, name):
     assert faces and max(Counter(faces).values()) == 1
     monkeypatch.undo()
     assert got == (check_globularity(XCategory(fd, True)), check_axioms(XCategory(fd, True), samples=None))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_a_globularity_run_on_a_closed_instance_copies_no_composite(monkeypatch, name):
+    # globularity composes nothing, so its run leaves the composites X's
+    # closures glued where they are; a run of the composition laws starts with them
+    runs = []
+
+    class Recorded(_Run):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            runs.append(self)
+
+    monkeypatch.setattr(axioms, "_Run", Recorded)
+    fd = CLOSED[name]()
+    cat = XCategory(fd, True)
+    for l in range(fd.max_level + 1):
+        cat._level(l, True)
+    got = check_globularity(cat), check_axioms(cat, samples=None)
+    assert cat._composites and len(runs[0].composite) == 0
+    assert cat._composites.items() <= runs[1].composite.items()
+    assert got == (check_globularity(PassThrough(XCategory(fd, True))),
+                   check_axioms(PassThrough(XCategory(fd, True)), samples=None))
 
 
 def test_an_instance_with_filled_tables_is_freed_without_the_collector():
