@@ -11,7 +11,7 @@ laws of ``check_functor_laws`` included, walks the tables of one run
 each side from the tables as an id or a stored error, never raising; an
 instance whose sides are one id passes, and any other goes to
 ``_Run.settle``, the one place witnesses are written.  An XCategory with
-its own protocol lends a run its cell ids and calls on them (``_on_ids``).
+its own protocol lends a run its cell ids and its tables on them (``_on_ids``).
 
 Axiom ids:
   globular-ss          s(s(x)) = s(t(x))
@@ -243,7 +243,9 @@ class _OnIds(_Memo):
 
 class _Composites(_OnIds):
     """(p, a, c) -> ids[call(p, cell[a], cell[c])], or the NCatError raised;
-    a stored error handed in for a, else for c, is the value, with no call."""
+    a stored error handed in for a, else for c, is the value, with no call.
+    A run on W or V keeps one over its cells; an XCategory keeps one over
+    its cell keys, which its closures and every run on it fill."""
 
     def __missing__(self, key):
         p, a, c = key
@@ -253,21 +255,6 @@ class _Composites(_OnIds):
             return c
         try:
             out = self.ids[self.call(p, self.cell[a], self.cell[c])]
-        except NCatError as e:
-            out = e
-        self[key] = out
-        return out
-
-
-class _IdComposites(_Composites):
-    """_Composites for X's compose on its own cell ids: (p, a, c) -> call(p, a, c), an id."""
-
-    def __missing__(self, key):
-        p, a, c = key
-        if a.__class__ is not int or c.__class__ is not int:
-            return a if a.__class__ is not int else c
-        try:
-            out = self.call(p, a, c)
         except NCatError as e:
             out = e
         self[key] = out
@@ -288,12 +275,13 @@ class _Run:
     back without a category call, so a chain of peeks stops at the first
     error, as raising calls do.  A law hands an instance that did not pass
     to ``settle`` as those values.  An XCategory with its own protocol lends
-    its ids, level id lists, its four ``_OnIds`` (shared by its runs),
-    compose on ids (``_IdComposites``, filled first with what its closures
-    composed, unless the run ``composes`` nothing) and ``cell``, its decoder.
+    its ids, level id lists, ``cell``, its decoder, and its five tables on
+    cell keys, which live on the instance: a run reads and fills them as
+    they are, so it splices no pair that its closures or an earlier run
+    on the instance spliced.
     """
 
-    def __init__(self, cat, seed, samples, levels, low=0, composes=True):
+    def __init__(self, cat, seed, samples, levels, low=0):
         if samples is not None and type(samples) is not int:  # a bool is no count
             raise InvalidArguments(f"samples must be an integer or None, got {samples!r}")
         if samples is not None and samples < 0:
@@ -305,16 +293,15 @@ class _Run:
             levels = range(cat.max_level + 1)
         self.levels = [l for l in levels if not (type(l) is int and 0 <= l < low)]  # cells() checks the rest
         # the tables see ids and cat's methods, never self: a run is freed without the cycle collector
-        own = getattr(type(cat), "_on_ids", lambda cat: None)(cat)  # an XCategory's calls on its ids
+        own = getattr(type(cat), "_on_ids", lambda cat: None)(cat)  # an XCategory's tables on its ids
         if own is None:
-            ids = _Interned()
-            self.cell, composite = ids.key, _Composites(cat.compose, ids)
-            tables = (_OnIds(f, ids) for f in (cat.source, cat.target, cat.identity, cat.normalize))
+            self.ids = ids = _Interned()
+            self.cell = ids.key
+            calls = (cat.source, cat.target, cat.identity, cat.normalize)
+            tables = _Composites(cat.compose, ids), *(_OnIds(f, ids) for f in calls)
         else:
-            ids, at, self.cell, tables, compose, known = own
-            composite = _IdComposites(compose, ids)
-        self.ids, self.composite = ids, composite
-        self.source, self.target, self.identity, self.normalize = tables
+            self.ids, at, self.cell, tables = own
+        self.composite, self.source, self.target, self.identity, self.normalize = tables
         rng = random.Random(seed)
         self.sample = {}
         for l in self.levels:
@@ -323,8 +310,6 @@ class _Run:
                 keep = sorted(rng.sample(range(len(cells)), samples))
                 cells = [cells[i] for i in keep]
             self.sample[l] = cells if own else list(map(ids.__getitem__, cells))
-        if own is not None and composes:  # the composites X's closures glued, read with no call
-            composite.update(known)
         self._pairs = {}
         self.keys = {}  # (l, p) -> {id: (s-chain, t-chain)} of the cells in pairs(l, p)
         self.unwalked = {}  # (l, p) -> [(id, NCatError)] left out of pairs(l, p)
@@ -398,7 +383,7 @@ class _Run:
 
 def check_globularity(cat, levels=None) -> AxiomReport:
     """The two globular identities, checked on every cell of level >= 2."""
-    run = _Run(cat, 0, None, levels, low=2, composes=False)
+    run = _Run(cat, 0, None, levels, low=2)
     s, t = run.source.peek, run.target.peek
     laws = ((_Law("globular-ss"), s), (_Law("globular-ts"), t))
     for l in run.levels:

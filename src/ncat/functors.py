@@ -135,8 +135,8 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
     as every axiom does: each distinct cell's image, and its boundaries,
     identity and composites there, are computed once (so the functor must
     be deterministic per cell), and only a failing instance reaches settle.
-    X is walked on its own ids and tables (XCategory._on_ids), images read
-    from keys; an XCell is decoded only for text or for another functor.
+    X is walked on its own ids and tables, images read from keys; an XCell
+    is decoded only for text or for another functor.
     """
     if target == "g":
         name, functor, tcat = "G", functor_g, WCategory()
@@ -146,9 +146,9 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
         raise InvalidArguments(f"unknown functor target {target!r}")
     env = ind_env(fd)
     through = _THROUGH.get(functor)  # None for a functor put in place of G or F
-    cat = XCategory(fd, include_composites=True)
-    xids, level_ids, decode, (s_x, t_x, one_x, _), _, composites = cat._on_ids(own_only=False)
-    run, keys, labels = _Run(tcat, 0, None, ()), xids.key, cat._labels.key
+    cat = XCategory(fd, include_composites=True)  # a plain XCategory: its own tables are read
+    (s_x, t_x, one_x, _), composites, decode = cat._on_keys, cat._composites, cat._out
+    run, keys, labels = _Run(tcat, 0, None, ()), cat._ids.key, cat._labels.key
     ids, render = run.ids, lambda i: x_render(decode[i])
     index = _Memo(lambda u: ind(labels[u], env)).peek  # ind of label id u, each label's once per run
     table = _image_table(through, ids.__getitem__, index)  # index tuple -> the image's id in run
@@ -169,7 +169,7 @@ def check_functor_laws(fd: FlowData, target: str = "g") -> AxiomReport:
             (tgt, t_x.peek, run.target.peek, "t"))
 
     for l in range(fd.max_level + 1):
-        cells = level_ids(l)
+        cells = cat._at(l)
         # the identity law below the top level, the boundary laws above level 0
         for law, on_x, on_image, op in maps[l == fd.max_level : 3 if l else 1]:
             law.checked += len(cells)

@@ -220,6 +220,8 @@ def w_compose(p: int, q: WCell, r: WCell) -> WCell:
     try:
         top = _check_composable(p, q, r)
         qs, rs = q[1], r[1]
+        if qs[top][1].__class__ is not int or qs[top][1] < 0:  # the seam: in no entry of the composite
+            raise _malformed(q, r)
         head = q[0] + r[0]
         spine = []
         for k in range(top):  # a loop, not a comprehension: no frame of its own

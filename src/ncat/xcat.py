@@ -9,8 +9,8 @@ Cells are critical points remembered by *label*:
 An XCell is a head label plus a spine of (source, target) label pairs,
 top-down, recording which moduli space tower the point lives over.  The
 category is almost strict: the laws hold after normalizing labels with a
-small rewrite system (see normalize), confluent on the labels composition
-produces but not in general.
+small rewrite system (see normalize), which is not confluent in general;
+on a valid document composition needs only its seam shortcuts (_glue_in).
 
 Every label X builds is normal by construction: enumerated cells carry
 atoms and diagonals of atoms, and composition glues two normal labels with
@@ -32,11 +32,12 @@ hash-conses (axioms._Interned): each distinct label, and each cell as
 its key (head, s0, t0, s1, t1, ...) of label ids, gets a dense int id.
 On ids: the closed levels, in cells() order (sorted on their keys' label
 values), the closure (one axioms.ChainIndex per depth for all rounds,
-chains read off keys in C), the composite table keyed (p, a, c), the
-label-pair table keyed (u, v) of _glue_in, the one gluing function (glue
-uses its own), each (level, p)'s pair list, and the face, identity and
-normal-form tables (axioms._OnIds) that every law run and functor check
-on the instance shares (_on_ids).  Plain cells are built as XCells and
+chains read off keys in C), the label-pair table keyed (u, v) of
+_glue_in, the one gluing function (glue uses its own), each (level, p)'s
+pair list, and the tables that the closure and every check on the
+instance share (a law run through _on_ids): the composite table keyed
+(p, a, c) (axioms._Composites over _compose_keys), and the face, identity
+and normal-form tables (axioms._OnIds).  Plain cells are built as XCells and
 kept, and interned only where ids are asked for; any other cell is
 decoded to one cached XCell only where it leaves: cells(), pairs(),
 compose() and witness text.  All tables are per instance, as point_like
@@ -51,7 +52,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .axioms import ChainIndex, _depth, _Interned, _Memo, _OnIds, composable_pairs
+from .axioms import ChainIndex, _Composites, _depth, _Interned, _Memo, _OnIds, composable_pairs
 from .errors import FlowDataInconsistent, InvalidArguments, NoSource, NotComposable
 from .flowdata import FlowData
 
@@ -164,9 +165,11 @@ def normalize(x, fd: "FlowData | None" = None):
     (4) carries the side condition that the block is point_like — which is
     exactly when the repetition came from gluing along a diagonal — and
     that keeps every rewrite index-neutral.  The system is not confluent on
-    all labels, but it is on those that arise from composing cells over a
-    document: there the fixed rule order below reaches the form any other
-    exhaustive strategy does (tested with randomized rewriting).
+    all labels.  On a valid document composition meets only the seam
+    shortcuts of _glue_in and pieces that it joins as they stand: pairwise
+    distinct, with no diagonal (tested over every check of the torus, chain
+    and tilted-torus documents), so (4), and the labels on which the rule
+    order matters, concern only labels that composition does not build.
 
     It runs in two steps: normalize the parts and flatten them (1), then
     rewrite the flat list of normal pieces with (2)-(4) (_rewrite).
@@ -346,6 +349,25 @@ def _decode(labels: list, keys: list, kept: dict, i: int) -> XCell:
     return out
 
 
+def _compose_keys(ids: _Interned, decode, glue, p: int, ka: tuple, kc: tuple) -> tuple:
+    """The key of ``c o_p a`` from the keys of a and c: the depth and the chains
+    checked (a failing chain decoded through decode, on ids), then _splice_keys."""
+    k = 2 * (_depth(p, len(ka) // 2, len(kc) // 2) - p)
+    if ka[k] != kc[k - 1] or ka[k + 1 :] != kc[k + 1 :]:
+        ta, sc = (decode[ids[(x[j], *x[k + 1 :])]] for x, j in ((ka, k), (kc, k - 1)))
+        raise NotComposable(p, f"t-chain {ta} != s-chain {sc}")
+    return _splice_keys(glue, p, ka, kc)
+
+
+def _splice_keys(glue, p: int, ka: tuple, kc: tuple) -> tuple:
+    """The key of ``c o_p a`` for composable keys, unchecked: the heads and the
+    labels above p glued by glue, the pair at p spliced, the labels below shared."""
+    n = len(ka) - 2 - 2 * p
+    if n == 1:  # p is the top depth: only the heads glue
+        return (glue(ka[0], kc[0]), ka[1], kc[2], *ka[3:])
+    return (*map(glue, ka[:n], kc), ka[n], kc[n + 1], *ka[n + 2 :])
+
+
 def _key_chains(keys: list, level: int, ids: list, p: int, side: int):
     """The depth-p s-chains (side 0) or t-chains (side 1), x_source or
     x_target applied level - p times, on the keys of level-level cell ids,
@@ -400,8 +422,8 @@ class XCategory:
     is what the axiom engine needs to test laws on glued cells.  Each
     level is enumerated (and closed) once per instance; cells() and
     pairs() hand out copies so callers cannot change the cache.  compose()
-    is X's one composition path (x_compose's too), on cell ids; source,
-    target, identity and render are the module's functions."""
+    is X's one composition path (x_compose's too), through the composite
+    table; source, target, identity and render are the module's functions."""
 
     def __init__(self, fd: FlowData, include_composites: bool = False):
         if not isinstance(fd, FlowData):
@@ -411,9 +433,10 @@ class XCategory:
         self._labels, self._ids = labels, ids = _Interned(), _Interned()  # label -> id, cell key -> id
         self._glued = {}  # (u, v) -> glue(u, v, fd) on label ids; per document, as point_like reads fd
         self._glue = partial(_glue_in, labels, self._glued, fd)  # no frame of its own
-        # (p, a, c) -> c o_p a on cell ids; an XCell's id() -> its cell id; (level, p) -> pairs on cell ids
-        self._composites, self._kept, self._pairs = {}, {}, {}
+        self._kept, self._pairs = {}, {}  # an XCell's id() -> its cell id; (level, p) -> pairs on cell ids
         self._out = _Memo(partial(_decode, labels.key, ids.key, self._kept))  # id -> its XCell
+        # (p, a, c) -> c o_p a on cell ids, or the NCatError raised; shared by every run on the instance
+        self._composites = _Composites(partial(_compose_keys, ids, self._out, self._glue), ids)
         self._normal_forms = nf = _Memo(partial(normalize, fd=fd))  # label -> its normal form, per document
         normal = _Memo(lambda u: labels[nf.peek(labels.key[u])]).peek  # the same on label ids
         identity = lambda k: (labels[_new(Pt, (1, labels.key[k[0]]))], k[0], k[0], *k[1:])
@@ -463,13 +486,14 @@ class XCategory:
     def _close_under_composition(self, level: int, cells: list) -> list:
         """Semi-naive fixpoint on cell ids, into the composite table: a round
         adds the frontier (the cells the last round added) to each depth's one
-        ChainIndex, then composes it, as inner cells, with every cell added so
+        ChainIndex, then splices it, as inner cells, with every cell added so
         far, and the cells added before it with it, so each cell's chains are
         computed once and each composable pair is spliced once."""
-        composites, splice = self._composites, self._splice
+        composites, ids, keys = self._composites, self._ids, self._ids.key
+        splice = partial(_splice_keys, self._glue)  # unchecked: an index lists composable pairs only
         frontier = [self._cell_id(x) for x in cells]  # kept, so handed out as they are
         seen = set(frontier)
-        indexes = [ChainIndex(partial(_key_chains, self._ids.key, level), p) for p in range(level)]
+        indexes = [ChainIndex(partial(_key_chains, keys, level), p) for p in range(level)]
         while frontier:
             fresh = []
             for index in indexes:
@@ -477,12 +501,12 @@ class XCategory:
                 new = index.add(frontier)
                 for pairs in (index.pairs(new), index.pairs(range(old), old)):
                     for a, c in pairs:
-                        out = composites[p, a, c] = splice(p, a, c)
+                        out = composites[p, a, c] = ids[splice(p, keys[a], keys[c])]
                         if out not in seen:
                             seen.add(out)
                             fresh.append(out)
             frontier = fresh
-        label, keys = self._labels.key.__getitem__, self._ids.key  # cells() order: by label values
+        label = self._labels.key.__getitem__  # cells() order: by label values
         return sorted(seen, key=lambda i: tuple(map(label, keys[i])))
 
     def _cell_id(self, cell) -> int:
@@ -497,14 +521,6 @@ class XCategory:
                 self._out[i], self._kept[id(cell)] = cell, i
         return i
 
-    def _splice(self, p: int, a: int, c: int) -> int:
-        """The id of ``c o_p a`` for composable cell ids, unchecked."""
-        ka, kc = self._ids.key[a], self._ids.key[c]
-        n = len(ka) - 2 - 2 * p  # the head and the labels above p glue, the pair at p splices
-        if n == 1:  # p is the top depth: only the heads glue
-            return self._ids[(self._glue(ka[0], kc[0]), ka[1], kc[2], *ka[3:])]
-        return self._ids[(*map(self._glue, ka[:n], kc), ka[n], kc[n + 1], *ka[n + 2 :])]
-
     def pairs(self, level: int, p: int) -> list:
         """x_composable_pairs over this instance's cells: a new list of the cells cells() hands out."""
         return [(self._out[a], self._out[c]) for a, c in self._pair_ids(level, p)]
@@ -516,24 +532,14 @@ class XCategory:
             self._pairs[level, p] = [*composable_pairs(partial(_key_chains, self._ids.key, level), p, cells)]
         return self._pairs[level, p] if cells else []
 
-    def _on_ids(self, own_only: bool = True):
-        """For a law run or the functor check: the cell interner, each level's ids, the decoder, the
-        source, target, identity and normal-form tables, compose on ids and the composite table;
-        with own_only, None if a subclass, the class or the instance overrides the protocol."""
-        if own_only and (type(self) is not XCategory or vars(self).keys() & _OWN
-                         or any(XCategory.__dict__[m] is not f for m, f in _OWN.items())):
+    def _on_ids(self):
+        """For a law run: the cell interner, each level's ids, the decoder and the composite, source,
+        target, identity and normal-form tables; None if a subclass, the class or the instance
+        overrides the protocol."""
+        if (type(self) is not XCategory or vars(self).keys() & _OWN
+                or any(XCategory.__dict__[m] is not f for m, f in _OWN.items())):
             return None
-        return self._ids, self._at, self._out, self._on_keys, self._compose_ids, self._composites
-
-    def _compose_ids(self, p: int, a: int, c: int) -> int:
-        """compose on cell ids: chains checked on the keys, then the composite table or an unstored splice."""
-        ka, kc = self._ids.key[a], self._ids.key[c]
-        k = 2 * (_depth(p, len(ka) // 2, len(kc) // 2) - p)
-        if ka[k] != kc[k - 1] or ka[k + 1 :] != kc[k + 1 :]:
-            ta, sc = (self._out[self._ids[(x[j], *x[k + 1 :])]] for x, j in ((ka, k), (kc, k - 1)))
-            raise NotComposable(p, f"t-chain {ta} != s-chain {sc}")
-        out = self._composites.get((p, a, c))
-        return self._splice(p, a, c) if out is None else out
+        return self._ids, self._at, self._out, (self._composites, *self._on_keys)
 
     def level_of(self, cell) -> int:
         return _require_cell(cell).level
@@ -544,11 +550,17 @@ class XCategory:
     render = staticmethod(x_render)
 
     def compose(self, p, a, c):
-        """``c o_p a``: _compose_ids on the operands' ids, a kept cell's by identity, any other's by value."""
+        """``c o_p a`` on the operands' ids, a kept cell's by identity, any other's by value: read
+        from the composite table at an int depth, else composed by its call and not stored."""
         if a.__class__ is not XCell or c.__class__ is not XCell:
             _require_cell(a), _require_cell(c)
+        table, keys = self._composites, self._ids.key
         try:
-            return self._out[self._compose_ids(p, self._cell_id(a), self._cell_id(c))]
+            i, j = self._cell_id(a), self._cell_id(c)
+            out = table.get((p, i, j)) if p.__class__ is int else None  # 0.0 == 0 reads no entry
+            if out.__class__ is not int:  # a miss or a stored error, which the call raises again
+                out = self._ids[table.call(p, keys[i], keys[j])]
+            return self._out[out]
         except (TypeError, IndexError):
             raise _malformed(a, c) from None
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_validate_json(torus_file):
 
 
 def test_validate_failure_names_the_check(tmp_path, torus_file):
-    broken = json.loads(open(torus_file).read())
+    broken = json.loads(Path(torus_file).read_text())
     broken["moduli"][2]["dim"] = 7  # the (w,z) space
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(broken))

@@ -2,12 +2,13 @@
 on XCells through X's public calls.
 
 A law run on an XCategory that overrides none of the protocol reads the
-instance's cell ids and its calls on cell keys (XCategory._on_ids); on any
-other category it interns the cells itself and calls their methods.  The
-tests here hold the two paths to equal reports, witnesses included, and
-check that an override is called.  They also hold the id path to its
-contract: closed levels are id lists in cells() order, a passing check
-decodes no cell, and the face tables live on the instance without keeping
+instance's cell ids and its tables on cell keys, the composite table
+included (XCategory._on_ids); on any other category it interns the cells
+itself and calls their methods.  The tests here hold the two paths to
+equal reports, witnesses included, and check that an override is called.
+They also hold the id path to its contract: closed levels are id lists in
+cells() order, a passing check decodes no cell, and the composite and
+face tables live on the instance, are shared by its runs, and do not keep
 it from being freed."""
 
 import gc
@@ -260,8 +261,8 @@ def test_globularity_then_axioms_compute_each_face_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(CLOSED))
 def test_a_globularity_run_on_a_closed_instance_copies_no_composite(monkeypatch, name):
-    # globularity composes nothing, so its run leaves the composites X's
-    # closures glued where they are; a run of the composition laws starts with them
+    # every run on the instance reads X's own composite table, the one its
+    # closures filled, so no run copies it or starts a table of its own
     runs = []
 
     class Recorded(_Run):
@@ -274,9 +275,10 @@ def test_a_globularity_run_on_a_closed_instance_copies_no_composite(monkeypatch,
     cat = XCategory(fd, True)
     for l in range(fd.max_level + 1):
         cat._level(l, True)
+    closed = dict(cat._composites)
     got = check_globularity(cat), check_axioms(cat, samples=None)
-    assert cat._composites and len(runs[0].composite) == 0
-    assert cat._composites.items() <= runs[1].composite.items()
+    assert closed and all(run.composite is cat._composites for run in runs) and len(runs) == 2
+    assert closed.items() <= cat._composites.items()
     assert got == (check_globularity(PassThrough(XCategory(fd, True))),
                    check_axioms(PassThrough(XCategory(fd, True)), samples=None))
 

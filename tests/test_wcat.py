@@ -102,6 +102,9 @@ def test_make_rejects_negatives_and_nonints():
             "i_1 must be an integer, got '0'",
             None,
         ),
+        # the seam entry (j_p of the inner cell, i_p of the outer) is in no entry of the composite
+        (lambda: w_compose(0, WCell(0, ((1, "0"),)), WCell(0, (("0", 0),))), "j_0 must be an integer, got '0'", None),
+        (lambda: w_compose(0, WCell(0, ((1, -1),)), WCell(0, ((-1, 0),))), "j_0 must be non-negative, got -1", None),
         # a hand-built list spine is copied into the composite, not concatenated to a tuple
         (
             lambda: w_compose(1, WCell(5, [(1, 0), (3, 0)]), WCell(0, [(0, 0), (3, 0)])),
@@ -112,7 +115,8 @@ def test_make_rejects_negatives_and_nonints():
     ids=["head", "bool", "negative-i", "non-int-j", "j-above-i", "degenerate", "bound",
          "empty-spine", "identity-of-negative", "spine-number", "spine-none", "entry-number",
          "entry-triple", "compose-invalid-operand", "compose-str-head", "compose-none-head",
-         "compose-outer-none-head", "compose-str-entry", "compose-list-spine"],
+         "compose-outer-none-head", "compose-str-entry", "compose-str-seam", "compose-negative-seam",
+         "compose-list-spine"],
 )
 def test_make_error_text(make, message, level):
     with pytest.raises(ConstraintViolation) as e:

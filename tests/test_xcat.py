@@ -46,6 +46,8 @@ from ncat.xcat import (
     x_target,
 )
 
+from test_axioms import seeded_chain
+
 from oracles import (
     chain_closure_counts,
     chain_document,
@@ -640,13 +642,13 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
     fd = fd()
     glued, checked = [], []  # checked: the pairs compose splices itself, on a table miss
     composing = [0]
-    real_glue, real_compose = XCategory._splice, XCategory.compose
+    real_glue, real_compose = xcat._splice_keys, XCategory.compose
 
-    def counted_glue(self, p, a, c):
-        glued.append((p, a, c))
+    def counted_glue(glue, p, ka, kc):
+        glued.append((p, ka, kc))
         if composing[0]:
-            checked.append((p, a, c))
-        return real_glue(self, p, a, c)
+            checked.append((p, ka, kc))
+        return real_glue(glue, p, ka, kc)
 
     def counted_compose(self, p, a, c):
         composing[0] += 1
@@ -655,7 +657,7 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
         finally:
             composing[0] -= 1
 
-    monkeypatch.setattr(XCategory, "_splice", counted_glue)  # (p, a, c) on cell ids, one per cell
+    monkeypatch.setattr(xcat, "_splice_keys", counted_glue)  # (p, a, c) on cell keys, one per cell
     monkeypatch.setattr(XCategory, "compose", counted_compose)
     cat = XCategory(fd, include_composites=True)  # one instance for every X check
     for l in range(fd.max_level + 1):
@@ -673,6 +675,23 @@ def test_each_composite_is_glued_once(monkeypatch, fd, closed, distinct):
         checked.clear()
         assert check_functor_laws(fd, target).passed
         assert len(glued) == len(set(glued)) == closed and not checked
+
+
+def test_a_second_run_on_one_instance_splices_nothing(monkeypatch):
+    # every run reads and fills the instance's composite table, so a second
+    # run of the X laws finds each composite the first one spliced
+    spliced, real = [], xcat._splice_keys
+    monkeypatch.setattr(xcat, "_splice_keys", lambda *args: spliced.append(args[1:]) or real(*args))
+    fd = chain_fd(4, 2)
+    cat = XCategory(fd, include_composites=True)
+    for l in range(fd.max_level + 1):
+        cat.cells(l)
+    counts, reports = [], []
+    for _ in range(2):
+        spliced.clear()
+        reports.append(check_axioms(cat, samples=None))
+        counts.append(len(spliced))
+    assert counts == [208, 0] and reports[0] == reports[1] and reports[0].passed
 
 
 @pytest.mark.parametrize(
@@ -719,6 +738,54 @@ def test_each_label_pair_is_rewritten_once(monkeypatch, fd, checked):
     assert report.passed and [e.checked for e in report.entries] == checked
     assert rewritten and set(rewritten.values()) == {1}
     assert not [uv for uv in rewritten if Pt in map(type, uv)]
+
+
+@pytest.mark.parametrize(
+    "fd, calls",
+    [
+        (lambda: FD, 24),
+        *[(lambda seed=seed: seeded_chain(4, 2, seed), 276) for seed in range(3)],
+        (lambda: tt_fd(3), 744),
+    ],
+    ids=["torus", "chain-4-2-seed-0", "chain-4-2-seed-1", "chain-4-2-seed-2", "tilted-torus-3"],
+)
+def test_composition_hands_the_rewrite_only_distinct_real_pieces(monkeypatch, fd, calls):
+    # the closure, globularity, the uncapped X laws and the G and F checks:
+    # each _rewrite that glue calls gets pairwise-distinct pieces and no
+    # diagonal, which it joins as they stand, so rule (4) never fires;
+    # calls: one per label pair each of the three closures glues
+    fd = fd()
+    stack, handed, collapsed = [], [], []  # stack: True for a glue call in progress
+    real_glue, real_rewrite, real_collapse = xcat._glue_in, xcat._rewrite, xcat._collapse
+
+    def counted_glue(*args):
+        stack.append(True)
+        try:
+            return real_glue(*args)
+        finally:
+            stack.pop()
+
+    def counted_rewrite(parts, fd):
+        if stack and stack[-1]:
+            handed.append(list(parts))
+        stack.append(False)
+        try:
+            return real_rewrite(parts, fd)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(xcat, "_glue_in", counted_glue)
+    monkeypatch.setattr(xcat, "_rewrite", counted_rewrite)
+    monkeypatch.setattr(xcat, "_collapse", lambda *args: collapsed.append(args) or real_collapse(*args))
+    cat = XCategory(fd, include_composites=True)
+    for l in range(fd.max_level + 1):
+        cat.cells(l)
+    reports = [check_globularity(cat), check_axioms(cat, samples=None),
+               check_functor_laws(fd, "g"), check_functor_laws(fd, "f")]
+    monkeypatch.undo()
+    assert all(report.passed for report in reports)
+    assert len(handed) == calls and not collapsed
+    assert not [parts for parts in handed if Pt in map(type, parts) or len(set(parts)) < len(parts)]
 
 
 @pytest.mark.parametrize("fd", [lambda: chain_fd(4, 2), lambda: FD], ids=["chain-4-2", "torus"])
